@@ -15,8 +15,8 @@ Crucially, lowering is driven by the *same* ``execute()`` definition the
 reference emulator and the symbolic validator interpret: compilation
 runs the shared semantics once against a recording
 :class:`~repro.x86.semantics.Machine` whose algebra emits straight-line
-Python source instead of computing values; the finished function is
-``exec``-ed once and cached. Constant subexpressions fold at compile
+Python source instead of computing values; that source is compiled
+once per shape (below) and cached. Constant subexpressions fold at compile
 time; reads, writes and sandbox events are emitted in exactly the order
 the reference performs them, so final states — including the Eq. 11
 event counters — are bit-identical (``tests/emulator/test_compile.py``
@@ -29,14 +29,30 @@ back to a per-instruction interpretive step over the shared
 ``execute()``; correctness is preserved, only the speedup is forfeited
 for that instruction.
 
+What gets compiled is a step's *shape*, not the instruction: the
+recorder emits register names and constants (immediates,
+displacements, folded values) as parameters ``K0, K1, ...``, one per
+distinct value, so siblings such as ``addq rdi, rax`` and
+``addq rsi, rcx``, or ``addq 7, rax`` and ``addq 9, rdx``, that differ
+only in those values record the same text. Each shape is
+``compile()``-d once (after :data:`_HOT_THRESHOLD` sightings) into a
+code object, and every instruction of that shape runs it with its own
+values bound as parameter defaults. Binding an instruction's values
+back reproduces exactly the source it would compile to on its own, so
+sharing is sound; aliasing is part of the shape (``addq rax, rax``
+reads one parameter twice, ``addq rax, rbx`` two).
+
 Compiled steps are cached on the :class:`Instruction` instances
 themselves (a proposal shares all but one instruction object with its
 predecessor) with a structural second-level cache behind them, so the
 steady-state compile cost of a proposal is one dictionary hit per slot.
+A structural miss costs one recording; a shape miss one ``compile()``.
 """
 
 from __future__ import annotations
 
+import builtins
+from types import CodeType, FunctionType
 from typing import Callable
 
 from repro.emulator.cpu import Emulator
@@ -83,6 +99,14 @@ class _SourceBuilder:
         self.alg = self            # semantics reach the algebra via m.alg
         self.lines: list[str] = []
         self._counter = 0
+        self._params: dict[int | str, str] = {}
+
+    def _param(self, value: int | str) -> str:
+        """The parameter ``K<n>`` that carries ``value``, one per value."""
+        name = self._params.get(value)
+        if name is None:
+            name = self._params[value] = f"K{len(self._params)}"
+        return name
 
     def _slot(self, expr: str) -> int:
         k = self._counter
@@ -96,7 +120,7 @@ class _SourceBuilder:
 
     def _ref(self, v) -> str:
         if type(v) is _Const:
-            return repr(v.value)
+            return self._param(v.value)
         return f"v{v}"
 
     @staticmethod
@@ -189,7 +213,8 @@ class _SourceBuilder:
                 return _Const(0)
             if type(a) is _Const:
                 return _Const((a.value << c) & mask(width))
-            return self._slot(f"({self._ref(a)} << {c}) & {mask(width)}")
+            return self._slot(
+                f"({self._ref(a)} << {self._param(c)}) & {mask(width)}")
         c = self._ref(count)
         return self._slot(f"0 if {c} >= {width} else "
                           f"({self._ref(a)} << {c}) & {mask(width)}")
@@ -201,7 +226,7 @@ class _SourceBuilder:
                 return _Const(0)
             if type(a) is _Const:
                 return _Const(a.value >> c)
-            return self._slot(f"{self._ref(a)} >> {c}")
+            return self._slot(f"{self._ref(a)} >> {self._param(c)}")
         c = self._ref(count)
         return self._slot(
             f"0 if {c} >= {width} else {self._ref(a)} >> {c}")
@@ -211,7 +236,7 @@ class _SourceBuilder:
             return _Const(INT_ALGEBRA.ashr(width, a.value, count.value))
         signed = self._signed(self._ref(a), width)
         if type(count) is _Const:
-            c: str | int = min(count.value, width - 1)
+            c = self._param(min(count.value, width - 1))
         else:
             cr = self._ref(count)
             c = f"({cr} if {cr} < {width - 1} else {width - 1})"
@@ -260,7 +285,7 @@ class _SourceBuilder:
             return _Const((hi.value << lo_width) | lo.value)
         if type(hi) is _Const:
             return self._slot(
-                f"{hi.value << lo_width} | {self._ref(lo)}")
+                f"{self._param(hi.value << lo_width)} | {self._ref(lo)}")
         return self._slot(
             f"({self._ref(hi)} << {lo_width}) | {self._ref(lo)}")
 
@@ -281,23 +306,24 @@ class _SourceBuilder:
     # -- Machine protocol: state accesses -----------------------------------
 
     def read_full(self, name: str):
-        return self._slot(f"regs[{name!r}]")
+        return self._slot(f"regs[{self._param(name)}]")
 
     def write_full(self, name: str, value) -> None:
-        self.lines.append(f"regs[{name!r}] = {self._ref(value)}")
+        self.lines.append(
+            f"regs[{self._param(name)}] = {self._ref(value)}")
 
     def check_reg_defined(self, reg: Register) -> None:
         needed = (1 << reg.byte_width) - 1
         self.lines.append(
-            f"if rdef[{reg.full!r}] & {needed} != {needed}: "
+            f"if rdef[{self._param(reg.full)}] & {needed} != {needed}: "
             "events.undef += 1")
 
     def mark_reg_defined(self, reg: Register) -> None:
         if reg.reg_class is RegClass.GPR and reg.width == 32:
-            self.lines.append(f"rdef[{reg.full!r}] = 255")
+            self.lines.append(f"rdef[{self._param(reg.full)}] = 255")
         else:
             bits = (1 << reg.byte_width) - 1
-            self.lines.append(f"rdef[{reg.full!r}] |= {bits}")
+            self.lines.append(f"rdef[{self._param(reg.full)}] |= {bits}")
 
     def read_flag(self, name: str):
         self.lines.append(
@@ -347,33 +373,61 @@ class _SourceBuilder:
 
     # -- assembly -----------------------------------------------------------
 
-    _PREAMBLE = (("regs", "regs = s.regs"),
-                 ("rdef", "rdef = s.reg_defined"),
-                 ("flags", "flags = s.flags"),
-                 ("fdef", "fdef = s.flag_defined"),
-                 ("mem", "mem = s.memory"),
-                 ("events", "events = s.events"),
-                 ("check", "check = box.check"))
+    def shape(self, result=None) -> str:
+        """The recorded step with its values lifted out: its *shape*.
 
-    def build(self, result=None) -> Step:
-        """Exec the recorded source into a step function.
-
-        With ``result``, the function returns that value's expression
-        (used for compiled condition codes).
+        Register names and constants appear as parameters ``K0, K1,
+        ...`` (one per distinct value, numbered by first use), so every
+        instruction that differs from this one only in those values
+        records the same text, aliasing included: ``addq rax, rax``
+        reads ``K0`` twice where ``addq rax, rbx`` reads ``K0`` and
+        ``K1``. With ``result``, the step returns that value's
+        expression (used for compiled condition codes).
         """
-        text = "\n".join(self.lines)
-        body = [line for name, line in self._PREAMBLE if name in text]
-        body += self.lines
+        lines = self.lines
         if result is not None:
-            body.append(f"return {self._ref(result)}")
-        if not body:
-            body = ["pass"]
-        source = "def _step(s, box):\n" + \
-            "".join(f"    {line}\n" for line in body)
-        namespace = {"_sdiv": INT_ALGEBRA.sdiv, "_srem": INT_ALGEBRA.srem}
-        exec(compile(source, "<repro-compiled>", "exec"),  # noqa: S102
-             namespace)
-        return namespace["_step"]
+            lines = lines + [f"return {self._ref(result)}"]
+        params = "".join(f", {name}" for name in self._params.values())
+        return f"def _step(s, box{params}):\n" + "\n".join(lines)
+
+    @property
+    def values(self) -> tuple:
+        """The values of ``K0, K1, ...``, in parameter order."""
+        return tuple(self._params)
+
+
+_PREAMBLE = (("regs", "regs = s.regs"),
+             ("rdef", "rdef = s.reg_defined"),
+             ("flags", "flags = s.flags"),
+             ("fdef", "fdef = s.flag_defined"),
+             ("mem", "mem = s.memory"),
+             ("events", "events = s.events"),
+             ("check", "check = box.check"))
+
+_STEP_GLOBALS = {"__builtins__": builtins,
+                 "_sdiv": INT_ALGEBRA.sdiv, "_srem": INT_ALGEBRA.srem}
+
+
+def _compile_shape(shape: str) -> CodeType:
+    """``compile()`` a shape into the code object every step of it runs."""
+    header, _, text = shape.partition("\n")
+    body = [line for name, line in _PREAMBLE if name in text]
+    if text:
+        body += text.split("\n")
+    source = header + "\n" + "".join(f"    {line}\n"
+                                     for line in body or ["pass"])
+    module = compile(source, "<repro-compiled>", "exec")
+    return next(const for const in module.co_consts
+                if type(const) is CodeType)
+
+
+def _bind(code: CodeType, values: tuple) -> Step:
+    """A step running ``code`` with its parameters bound to ``values``.
+
+    The values become the defaults of the trailing ``K`` parameters, so
+    the step is called as ``step(state, sandbox)`` like any other.
+    """
+    return FunctionType(code, _STEP_GLOBALS, "_step", values)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +465,15 @@ class _EvaluatorCounters:
     ``runtime`` section.
     """
 
-    __slots__ = ("instance_hits", "structural_hits", "tier_ups",
-                 "cold_fallbacks", "uncompilable_fallbacks",
+    __slots__ = ("instance_hits", "structural_hits", "shape_hits",
+                 "tier_ups", "cold_fallbacks", "uncompilable_fallbacks",
                  "programs_compiled")
 
     def __init__(self) -> None:
         self.instance_hits = 0          # step cached on the instruction
         self.structural_hits = 0        # equal instruction seen before
-        self.tier_ups = 0               # interpretive -> compiled step
+        self.shape_hits = 0             # step bound to compiled shape code
+        self.tier_ups = 0               # one compile() of a step's shape
         self.cold_fallbacks = 0         # below the hot threshold
         self.uncompilable_fallbacks = 0  # semantics defeated the recorder
         self.programs_compiled = 0      # CompiledProgram constructions
@@ -442,25 +497,43 @@ def evaluator_counters() -> dict[str, int]:
 _STRUCTURAL_CACHE: dict[tuple, Step] = {}
 _STRUCTURAL_CACHE_LIMIT = 1 << 16
 
-#: Sightings before an instruction is worth ``exec``-ing a step for.
-#: Random proposals draw many one-shot instructions; interpreting an
-#: instruction until it recurs keeps compile latency off their path
+#: Compiled code per shape (see :meth:`_SourceBuilder.shape`).
+_SHAPE_CACHE: dict[str, CodeType] = {}
+_SHAPE_CACHE_LIMIT = 1 << 12
+
+#: Sightings before a shape is worth ``compile()``-ing. Random
+#: proposals draw many one-shot shapes; interpreting a shape's
+#: instructions until it recurs keeps compile latency off their path
 #: while everything the chain actually revisits still gets compiled.
 _HOT_THRESHOLD = 2
 
-_SEEN_ONCE: dict[tuple, int] = {}
+#: Sightings of not-yet-compiled shapes, keyed by the shape's hash to
+#: keep the table small (a collision only compiles a shape early).
+_SEEN_ONCE: dict[int, int] = {}
 
 _CC_CACHE: dict[str, Callable[[MachineState, Sandbox], int]] = {}
 
 
-def _compile_instruction(instr: Instruction) -> Step:
-    builder = _SourceBuilder()
-    try:
-        execute(instr, builder)
-    except _CannotCompile:
-        COUNTERS.uncompilable_fallbacks += 1
-        return _fallback_step(instr)
-    return builder.build()
+def _shape_step(builder: _SourceBuilder) -> Step | None:
+    """The recorded instruction's step, or None while its shape is cold."""
+    shape = builder.shape()
+    code = _SHAPE_CACHE.get(shape)
+    if code is None:
+        key = hash(shape)
+        count = _SEEN_ONCE.get(key, 0) + 1
+        if count < _HOT_THRESHOLD:
+            if len(_SEEN_ONCE) >= _STRUCTURAL_CACHE_LIMIT:
+                _SEEN_ONCE.clear()
+            _SEEN_ONCE[key] = count
+            return None
+        _SEEN_ONCE.pop(key, None)
+        if len(_SHAPE_CACHE) >= _SHAPE_CACHE_LIMIT:
+            _SHAPE_CACHE.clear()
+        code = _SHAPE_CACHE[shape] = _compile_shape(shape)
+        COUNTERS.tier_ups += 1
+    else:
+        COUNTERS.shape_hits += 1
+    return _bind(code, builder.values)
 
 
 def compiled_step(instr: Instruction) -> Step:
@@ -469,32 +542,37 @@ def compiled_step(instr: Instruction) -> Step:
     The first-level cache lives on the instruction instance (a proposal
     shares all but one instruction object with its predecessor); the
     second level is structural, so re-proposing an equal instruction
-    never recompiles. Below :data:`_HOT_THRESHOLD` sightings the
-    returned step interprets (bit-identically) instead of compiling.
+    never re-records it. Otherwise the instruction is recorded and its
+    shape looked up: an instruction that differs from a compiled one
+    only in register names and constants binds its own values to the
+    same code, and never calls ``compile()``. Below
+    :data:`_HOT_THRESHOLD` sightings of its shape the returned step
+    interprets (bit-identically) instead.
     """
     step = instr.__dict__.get("_compiled_step")
+    if step is not None:
+        COUNTERS.instance_hits += 1
+        return step
+    key = (instr.opcode.name, instr.operands)
+    step = _STRUCTURAL_CACHE.get(key)
     if step is None:
-        key = (instr.opcode.name, instr.operands)
-        step = _STRUCTURAL_CACHE.get(key)
-        if step is None:
-            count = _SEEN_ONCE.get(key, 0) + 1
-            if count < _HOT_THRESHOLD:
-                if len(_SEEN_ONCE) >= _STRUCTURAL_CACHE_LIMIT:
-                    _SEEN_ONCE.clear()
-                _SEEN_ONCE[key] = count
+        builder = _SourceBuilder()
+        try:
+            execute(instr, builder)
+        except _CannotCompile:
+            COUNTERS.uncompilable_fallbacks += 1
+            step = _fallback_step(instr)
+        else:
+            step = _shape_step(builder)
+            if step is None:
                 COUNTERS.cold_fallbacks += 1
                 return _fallback_step(instr)   # cold: not cached
-            _SEEN_ONCE.pop(key, None)
-            if len(_STRUCTURAL_CACHE) >= _STRUCTURAL_CACHE_LIMIT:
-                _STRUCTURAL_CACHE.clear()
-            step = _compile_instruction(instr)
-            _STRUCTURAL_CACHE[key] = step
-            COUNTERS.tier_ups += 1
-        else:
-            COUNTERS.structural_hits += 1
-        instr.__dict__["_compiled_step"] = step
+        if len(_STRUCTURAL_CACHE) >= _STRUCTURAL_CACHE_LIMIT:
+            _STRUCTURAL_CACHE.clear()
+        _STRUCTURAL_CACHE[key] = step
     else:
-        COUNTERS.instance_hits += 1
+        COUNTERS.structural_hits += 1
+    instr.__dict__["_compiled_step"] = step
     return step
 
 
@@ -503,8 +581,8 @@ def _compiled_cc(cc: str) -> Callable[[MachineState, Sandbox], int]:
     evaluate = _CC_CACHE.get(cc)
     if evaluate is None:
         builder = _SourceBuilder()
-        value = cc_value(builder, cc)
-        evaluate = builder.build(result=value)
+        shape = builder.shape(result=cc_value(builder, cc))
+        evaluate = _bind(_compile_shape(shape), builder.values)
         _CC_CACHE[cc] = evaluate
     return evaluate
 
@@ -564,7 +642,8 @@ class CompiledProgram:
         of rebuilding every register and flag from the prototype. The
         sets come from the ISA table's def/use metadata, so they cover
         fallback-interpreted instructions too; partial runs (faults,
-        step limits) only ever dirty a subset.
+        step limits) only ever dirty a subset. Each instruction's
+        contribution is cached on the instance, like its step.
         """
         regs: set[str] = set()
         flags: set[str] = set()
@@ -572,9 +651,14 @@ class CompiledProgram:
         for instr in prog.code:
             if is_unused(instr) or instr.is_jump:
                 continue
-            regs.update(reg.full for reg in instr.regs_written)
-            flags.update(instr.flags_written)
-            writes_memory = writes_memory or instr.writes_memory
+            contribution = instr.__dict__.get("_write_set")
+            if contribution is None:
+                contribution = instr.__dict__["_write_set"] = (
+                    tuple({reg.full for reg in instr.regs_written}),
+                    tuple(instr.flags_written), instr.writes_memory)
+            regs.update(contribution[0])
+            flags.update(contribution[1])
+            writes_memory = writes_memory or contribution[2]
         self.regs_written = tuple(regs)
         self.flags_written = tuple(flags)
         self.writes_memory = writes_memory

@@ -17,9 +17,13 @@ class Sandbox:
     In *recording* mode every access is legal and is remembered; running
     the target in recording mode builds the valid set that is then
     enforced against rewrites.
+
+    ``check(addr)`` is True if the byte address may be dereferenced.
+    Compiled memory steps call it once per byte, so an enforcing sandbox
+    binds it straight to the valid set's C-level membership test.
     """
 
-    __slots__ = ("valid", "recording", "accessed")
+    __slots__ = ("valid", "recording", "accessed", "check")
 
     def __init__(self, valid: frozenset[int] | None = None, *,
                  recording: bool = False) -> None:
@@ -27,17 +31,15 @@ class Sandbox:
             else frozenset()
         self.recording = recording
         self.accessed: set[int] = set()
+        self.check = self._record if recording else self.valid.__contains__
 
     @classmethod
     def recorder(cls) -> "Sandbox":
         return cls(recording=True)
 
-    def check(self, addr: int) -> bool:
-        """True if the byte address may be dereferenced."""
-        if self.recording:
-            self.accessed.add(addr)
-            return True
-        return addr in self.valid
+    def _record(self, addr: int) -> bool:
+        self.accessed.add(addr)
+        return True
 
     def frozen(self) -> "Sandbox":
         """An enforcing sandbox covering everything this one accessed."""
