@@ -203,8 +203,7 @@ class Session:
                 suite.note(outcome.testcases)
                 suite.append(minimized.cegis_testcases)
             log = MetricsLog(
-                CheckpointStore(options.run_dir).metrics_path,
-                append=True)
+                CheckpointStore(options.run_dir).metrics_path)
             log.record_minimize(campaign.name, minimized.to_json())
         return minimized
 

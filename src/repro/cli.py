@@ -224,8 +224,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     if suite is not None:
         suite.append(result.cegis_testcases)
         from repro.telemetry import MetricsLog
-        log = MetricsLog(Path(args.run_dir) / "metrics.jsonl",
-                         append=True)
+        log = MetricsLog(Path(args.run_dir) / "metrics.jsonl")
         log.record_minimize(target.name, result.to_json())
     if args.json:
         report = {key: value for key, value in result.to_json().items()

@@ -2,87 +2,67 @@
 
 Layout::
 
-    <run_dir>/manifest.json   campaign fingerprint + frozen testcases
-    <run_dir>/jobs.jsonl      one line per completed job result
-    <run_dir>/grants.jsonl    one line per scheduler grant decision
-    <run_dir>/events.jsonl    campaign progress stream (diagnostics)
-    <run_dir>/metrics.jsonl   search telemetry (diagnostics)
+    <run_dir>/manifest.json     campaign fingerprint + frozen testcases
+    <run_dir>/jobs.jsonl        one line per completed job result
+    <run_dir>/grants.jsonl      one line per scheduler grant decision
+    <run_dir>/recovery.jsonl    one line per retry/requeue/quarantine
+    <run_dir>/events.jsonl      campaign progress stream (diagnostics)
+    <run_dir>/metrics.jsonl     search telemetry (diagnostics)
+    <run_dir>/cex_suite.jsonl   persistent counterexamples (``--harden``)
 
-The manifest freezes everything job results depend on — target, spec,
-annotations, config, and the generated base testcases — so a resumed
+The manifest freezes everything job results depend on, so a resumed
 campaign provably replays the same search, and resuming against a
-different campaign is rejected instead of silently mixing results. The
-journal is append-only and flushed per record; a half-written final
-line (the interrupt case) is discarded on load and that job re-runs.
+different campaign is rejected instead of silently mixing results.
+Every ``.jsonl`` file is an append-only journal written through
+:mod:`repro.jsonl`: fsynced per append, with a half-written final line
+(the interrupt case) discarded on load and healed away before the next
+append. A job whose record was torn simply re-runs.
 
-Manifest versions (any mismatch rejects the resume):
+The manifest carries ``version`` (:data:`MANIFEST_VERSION`; any other
+version is rejected, not migrated), the frozen base ``testcases``, and
+these fingerprint fields. Resuming under a different value of any of
+them is rejected:
 
-* **v1** (PR 1): ``target``, ``spec``, ``annotations``, ``config``,
-  ``testcases``.
-* **v2** (PR 2): adds ``cost`` and ``strategy`` — the cost-spec string
-  (which since PR 3 also carries the ``evaluator=`` choice) and the
-  strategy name, so a resume cannot silently re-search under different
-  machinery.
-* **v3** (PR 4): adds ``budget`` — the stopping-rule spec string
-  (``fixed`` or ``adaptive:stable=K``). An adaptive campaign's journal
-  contains only the chains its rule actually scheduled; resuming it
-  under a different rule would re-decide which chains exist, so a
-  changed budget is rejected like any other fingerprint field.
-* **v4** (PR 5): adds ``interleave`` — the cross-kernel scheduling
-  policy (``none`` or ``roundrobin``). The policy decides the grant
-  order of the shared worker pool; results are bit-identical either
-  way, but a resumed campaign must not silently switch schedulers, so
-  the policy is frozen like every other fingerprint field. v4 run
-  directories also journal *grant decisions* in ``grants.jsonl``:
-  one record per scheduler decision (chain index, granted, reason).
-  Deterministic rules re-derive the same decisions on replay; the
-  clock-driven ``wallclock`` rule cannot, so a resume replays the
-  journaled decisions instead of re-consulting the clock.
-* **v5** (PR 6): job payloads carry per-chain search telemetry
-  (``chain.telemetry``) and the run directory gains ``metrics.jsonl``,
-  the telemetry journal (:mod:`repro.telemetry.journal`). The journal
-  is diagnostic, not resume state — but a v4 journal's payloads cannot
-  supply telemetry for journal-satisfied chains on resume, so the
-  version gate keeps resumed runs' metrics documents complete.
-* **v6** (PR 7): adds ``minimize`` and ``harden`` — the rewrite
-  minimization policy (``off`` or a comma-separated pass list) and the
-  CEGIS hardening flag. Minimization changes the reported rewrite and
-  hardening changes the frozen base testcases, so both are fingerprint
-  fields: a resume under a different policy is rejected. Hardened run
-  directories also carry ``cex_suite.jsonl``, the persistent
-  counterexample suite (:mod:`repro.minimize.cegis`); it is
-  deliberately *not* truncated by :meth:`CheckpointStore.start_fresh`
-  — counterexamples accumulate across fresh runs (the flywheel), while
-  the manifest records exactly which of them this run's base suite
-  absorbed.
-* **v7** (PR 8): adds ``retry`` — the retry policy's spec string
-  (``retries=N,timeout=S``). The policy decides which chains get
-  quarantined after repeated failures, so resuming under a different
-  policy would re-decide the campaign's membership; it is frozen like
-  the budget. v7 run directories also journal *recovery decisions* in
-  ``recovery.jsonl`` — one record per retry/requeue/quarantine — which
-  a resume replays so quarantined chains stay quarantined and the
-  recovery counters survive the interrupt.
-* **v8** (this PR): adds ``transport`` — the execution transport's
-  spec string (``local``, or ``tcp:wire=N`` for socket workers). The
-  *worker count* is deliberately not frozen (results are worker-count
-  invisible, exactly like ``jobs``); what a resume must agree on is
-  the frame vocabulary version, so a run cannot silently hop between
-  transports whose wire formats could diverge.
+* ``target``, ``spec``, ``annotations`` — the program, its live
+  registers and its input annotations: every chain searches against
+  exactly these.
+* ``config`` — the search configuration; it fixes the job plan and
+  every chain's seed.
+* ``cost`` — the cost-spec string, including its ``evaluator=``
+  choice, so a resume cannot re-search under another cost function.
+* ``strategy`` — the chain exploration strategy, for the same reason.
+* ``budget`` — the stopping rule. An adaptive campaign's journal holds
+  only the chains its rule scheduled; another rule would re-decide
+  which chains exist.
+* ``interleave`` — the cross-kernel scheduling policy. Rankings are
+  bit-identical either way, but the grant decisions journaled in
+  ``grants.jsonl`` were made under it (a ``wallclock`` resume replays
+  them instead of re-consulting the clock).
+* ``minimize`` — the minimization policy; it changes the reported
+  rewrite.
+* ``harden`` — the CEGIS flag; it changes the frozen base testcases.
+* ``retry`` — the retry policy; it decides which chains are
+  quarantined (replayed from ``recovery.jsonl``), i.e. campaign
+  membership.
+* ``transport`` — ``local`` or ``tcp:wire=N``: the frame vocabulary
+  results travelled in. The worker count is deliberately not frozen,
+  exactly like ``jobs``: results are worker-count invisible.
 
-A run directory may also hold ``events.jsonl``, the campaign progress
-stream (:mod:`repro.engine.events`), and ``metrics.jsonl``, the search
-telemetry journal. Both are diagnostic output, not resume state: the
-fingerprint never covers them.
+``events.jsonl`` and ``metrics.jsonl`` are diagnostic output, not
+resume state: the fingerprint never covers them. ``cex_suite.jsonl``
+(:mod:`repro.minimize.cegis`) is deliberately *not* emptied by
+:meth:`CheckpointStore.start_fresh`: counterexamples accumulate across
+fresh runs (the flywheel), while the manifest records exactly which of
+them this run's base suite absorbed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-from repro.engine.serialize import Json, read_jsonl, require_fields
+from repro import jsonl
+from repro.engine.serialize import Json, require_fields
 from repro.errors import EngineError
 
 MANIFEST_VERSION = 8
@@ -100,26 +80,33 @@ class CheckpointStore:
         self.manifest_path = self.run_dir / "manifest.json"
         self.journal_path = self.run_dir / "jobs.jsonl"
         self.grants_path = self.run_dir / "grants.jsonl"
-        self.metrics_path = self.run_dir / "metrics.jsonl"
         self.recovery_path = self.run_dir / "recovery.jsonl"
+        self.events_path = self.run_dir / "events.jsonl"
+        self.metrics_path = self.run_dir / "metrics.jsonl"
 
     def has_manifest(self) -> bool:
         return self.manifest_path.exists()
 
     def start_fresh(self, manifest: Json) -> None:
-        """Initialize the run directory, discarding any prior state."""
+        """Initialize the run directory, discarding any prior state.
+
+        The one owner of fresh-start truncation: every journal but the
+        counterexample suite is emptied *before* the manifest is
+        replaced, so a crash in between leaves the old manifest over
+        empty journals (a resume re-runs every job), never the new
+        manifest over the previous run's results.
+        """
         require_fields(manifest, _FINGERPRINT_FIELDS + ("testcases",),
                        "manifest")
         self.run_dir.mkdir(parents=True, exist_ok=True)
+        for path in (self.journal_path, self.grants_path,
+                     self.recovery_path, self.events_path,
+                     self.metrics_path):
+            jsonl.replace_atomically(path, [])
         payload = dict(manifest)
         payload["version"] = MANIFEST_VERSION
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.manifest_path)
-        self.journal_path.write_text("")
-        self.grants_path.write_text("")
-        self.metrics_path.write_text("")
-        self.recovery_path.write_text("")
+        jsonl.replace_atomically(self.manifest_path,
+                                 [json.dumps(payload, sort_keys=True)])
 
     def load_manifest(self, expected_fingerprint: Json) -> Json:
         """Load and cross-check the manifest against this campaign.
@@ -150,62 +137,26 @@ class CheckpointStore:
 
     def record(self, payload: Json) -> None:
         """Append one completed job result, durably."""
-        line = json.dumps(payload, sort_keys=True)
-        with self.journal_path.open("a") as journal:
-            journal.write(line + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
+        jsonl.append(self.journal_path, payload)
 
     def record_grant(self, payload: Json) -> None:
         """Append one scheduler grant decision, durably."""
-        line = json.dumps(payload, sort_keys=True)
-        with self.grants_path.open("a") as journal:
-            journal.write(line + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
+        jsonl.append(self.grants_path, payload)
 
     def record_recovery(self, payload: Json) -> None:
         """Append one recovery decision (retry/requeue/quarantine),
         durably — quarantines especially must survive an interrupt, or
         a resume would hammer a poisoned chain all over again."""
-        line = json.dumps(payload, sort_keys=True)
-        with self.recovery_path.open("a") as journal:
-            journal.write(line + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
-
-    def _healed_records(self, path: Path, what: str) -> list[Json]:
-        """Read an append-only journal, truncating a torn tail.
-
-        A torn trailing line (interrupted mid-write) is dropped — and
-        the file is rewritten without it, so a later append cannot
-        fuse a new record onto the fragment (which would corrupt the
-        journal on the *next* read).
-        """
-        if not path.exists():
-            return []
-        records = read_jsonl(path, what)
-        survivors = "".join(json.dumps(payload, sort_keys=True) + "\n"
-                            for payload in records)
-        if survivors != path.read_text():
-            # atomic + durable, like the manifest: a crash mid-heal
-            # must not cost the journal the records that survived
-            tmp = path.with_suffix(".jsonl.tmp")
-            with tmp.open("w") as handle:
-                handle.write(survivors)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        return records
+        jsonl.append(self.recovery_path, payload)
 
     def grants(self) -> list[Json]:
         """Journaled grant decisions, in decision order."""
-        return self._healed_records(self.grants_path, "grants journal")
+        return list(jsonl.resume(self.grants_path, "grants journal"))
 
     def recovery(self) -> list[Json]:
         """Journaled recovery decisions, in decision order."""
-        return self._healed_records(self.recovery_path,
-                                    "recovery journal")
+        return list(jsonl.resume(self.recovery_path,
+                                 "recovery journal"))
 
     def completed(self) -> dict[str, Json]:
         """All journaled results, keyed by job id.
@@ -215,8 +166,7 @@ class CheckpointStore:
         else means the journal was edited by hand and is an error.
         """
         results: dict[str, Json] = {}
-        for payload in self._healed_records(self.journal_path,
-                                            "journal"):
+        for payload in jsonl.resume(self.journal_path, "journal"):
             if "job_id" not in payload:
                 raise EngineError(
                     f"journal record without job_id in "

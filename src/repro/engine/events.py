@@ -53,20 +53,21 @@ arrival and departure — with the departure's reason — so a follower
 can correlate a burst of ``job-requeued`` events with the host that
 caused them.
 
-Like the checkpoint journal, the file is append-only, flushed per
-record, and a torn trailing line (the interrupt case) is dropped on
-read.
+Like every run-directory journal, the file is written through
+:mod:`repro.jsonl`: append-only, fsynced per record, and a torn
+trailing line (the interrupt case) is dropped on read and healed away
+on resume.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.engine.serialize import Json, iter_jsonl, require_fields
+from repro import jsonl
+from repro.engine.serialize import Json, require_fields
 from repro.errors import EngineError
 
 EVENT_STREAM_VERSION = 4
@@ -197,33 +198,22 @@ class EventLog:
     (an un-checkpointed run with ``--progress``), with no listener it
     is a silent journal for later consumers. Records are flushed per
     append so a follower (``tail -f``, a remote scheduler) sees each
-    event the moment the campaign emits it.
+    event the moment the campaign emits it. An existing stream is
+    resumed, never emptied: a fresh run's stream is emptied by
+    :meth:`CheckpointStore.start_fresh`.
     """
 
     def __init__(self, path: str | Path | None = None,
-                 listener: ProgressListener | None = None, *,
-                 append: bool = False) -> None:
+                 listener: ProgressListener | None = None) -> None:
         self.path = None if path is None else Path(path)
         self.listener = listener
         self._seq = 0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            if append and self.path.exists():
-                # re-write the surviving records so a torn trailing
-                # line (an interrupted emit) is truncated rather than
-                # fused with the next append; streamed through a temp
-                # file so healing a long stream never loads it whole
-                tmp = self.path.with_suffix(".jsonl.tmp")
-                with tmp.open("w") as handle:
-                    for event in iter_events(self.path):
-                        handle.write(json.dumps(event_to_json(event),
-                                                sort_keys=True) + "\n")
-                        self._seq += 1
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path)
-            else:
-                self.path.write_text("")
+            # decoded, not just counted: appending onto a stream of
+            # another version would hand followers a mixed stream
+            self._seq = sum(1 for _ in map(
+                event_from_json, jsonl.resume(self.path, "event")))
 
     def emit(self, event_type: str, kernel: str, **data) -> ProgressEvent:
         """Record one event; returns it for callers that chain state."""
@@ -231,11 +221,7 @@ class EventLog:
                               seq=self._seq, data=data)
         self._seq += 1
         if self.path is not None:
-            line = json.dumps(event_to_json(event), sort_keys=True)
-            with self.path.open("a") as stream:
-                stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
+            jsonl.append(self.path, event_to_json(event))
         if self.listener is not None:
             self.listener(event)
         return event
@@ -247,7 +233,7 @@ def iter_events(path: str | Path):
     The iterator the live progress follower and ``engine report`` use:
     a long campaign's stream never has to fit in memory to be read.
     """
-    for payload in iter_jsonl(path, "event"):
+    for payload in jsonl.iter_jsonl(path, "event"):
         yield event_from_json(payload)
 
 

@@ -18,7 +18,6 @@ versions its records independently of the checkpoint manifest.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.cost.correctness import CostWeights
@@ -243,48 +242,3 @@ def require_fields(data: Json, fields: tuple[str, ...],
     missing = [name for name in fields if name not in data]
     if missing:
         raise EngineError(f"corrupt {what}: missing {missing}")
-
-
-def iter_jsonl(path, what: str):
-    """Stream-decode an append-only JSONL file with torn-tail tolerance.
-
-    The shared policy of the job journal, the event stream, and the
-    metrics journal: blank lines are skipped, a torn *trailing* line
-    (an interrupted append) is silently dropped so that record re-runs,
-    and a torn line anywhere else means the file was edited by hand and
-    is an error.
-
-    The file is read line by line with one line of lookahead (a line is
-    only "the tail" once nothing follows it), so arbitrarily large
-    journals stream in O(1) memory — the property ``engine report`` and
-    the event follower rely on.
-    """
-    from pathlib import Path
-    path = Path(path)
-    if not path.exists():
-        return
-    pending: tuple[int, str] | None = None
-    with path.open() as stream:
-        for index, line in enumerate(stream):
-            if not line.strip():
-                continue
-            if pending is not None:
-                previous_index, previous_line = pending
-                try:
-                    record = json.loads(previous_line)
-                except json.JSONDecodeError:
-                    raise EngineError(
-                        f"corrupt {what} line {previous_index + 1} "
-                        f"in {path}") from None
-                yield record
-            pending = (index, line)
-        if pending is not None:
-            try:
-                yield json.loads(pending[1])
-            except json.JSONDecodeError:
-                return              # interrupted mid-append
-
-
-def read_jsonl(path, what: str) -> list[Json]:
-    """Decode a whole JSONL journal at once (see :func:`iter_jsonl`)."""
-    return list(iter_jsonl(path, what))

@@ -102,13 +102,13 @@ class KernelSchedule:
                       if options.run_dir is not None else None)
         self.testcases, self.completed = campaign._initial_state(
             self.store)
+        # on a fresh run start_fresh (in _initial_state) has already
+        # emptied both journals; the logs only ever append
         self.events = EventLog(
             path=(None if self.store is None
-                  else self.store.run_dir / "events.jsonl"),
-            listener=options.progress,
-            append=options.resume)
-        self.metrics = (MetricsLog(self.store.run_dir / "metrics.jsonl",
-                                   append=options.resume)
+                  else self.store.events_path),
+            listener=options.progress)
+        self.metrics = (MetricsLog(self.store.metrics_path)
                         if self.store is not None else None)
         self.rule = campaign.budget.rule()
         # the persistent CEGIS suite (harden): the fresh-start merge

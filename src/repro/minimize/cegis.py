@@ -16,19 +16,19 @@ Crucially, :meth:`CheckpointStore.start_fresh` truncates only the
 manifest and journals — the counterexample suite *survives* fresh
 restarts, which is what makes it a flywheel rather than per-run state.
 
-The file follows the repo's journaling discipline: append-only JSONL,
-flushed + fsynced per record, torn trailing line tolerated on read,
-records deduplicated by testcase input key.
+The file is written through :mod:`repro.jsonl`, like every
+run-directory journal: append-only JSONL, fsynced per append, and a
+torn trailing line healed away on load, so the next append cannot fuse
+onto it. Records are deduplicated by testcase input key, and records
+of an unknown version are skipped.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
-from repro.engine.serialize import (iter_jsonl, testcase_from_json,
-                                    testcase_to_json)
+from repro import jsonl
+from repro.engine.serialize import testcase_from_json, testcase_to_json
 from repro.testgen.suite import InputKey, input_key
 from repro.testgen.testcase import Testcase
 
@@ -54,9 +54,7 @@ class CounterexampleSuite:
 
     def _load(self) -> list[Testcase]:
         testcases: list[Testcase] = []
-        if not self.path.exists():
-            return testcases
-        for record in iter_jsonl(self.path, "counterexample suite"):
+        for record in jsonl.resume(self.path, "counterexample suite"):
             if record.get("v") != SUITE_VERSION:
                 continue            # future format: skip, don't crash
             testcase = testcase_from_json(record["testcase"])
@@ -89,12 +87,8 @@ class CounterexampleSuite:
         if not novel:
             return 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as journal:
-            for testcase in novel:
-                record = {"v": SUITE_VERSION,
-                          "testcase": testcase_to_json(testcase)}
-                journal.write(json.dumps(record, sort_keys=True) + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
+        jsonl.append(self.path, *(
+            {"v": SUITE_VERSION, "testcase": testcase_to_json(testcase)}
+            for testcase in novel))
         self._loaded.extend(novel)
         return len(novel)

@@ -1,9 +1,9 @@
 """The metrics journal: ``RUN_DIR/metrics.jsonl`` and its merged view.
 
-Telemetry follows the same journaling discipline as the job journal
-and the event stream: append-only JSONL, one flushed+fsynced record
-per line, versioned records (``"v"``), a torn trailing line dropped
-and healed on resume. Three record shapes share the file::
+Telemetry is written through :mod:`repro.jsonl`, like every
+run-directory journal: append-only JSONL, one fsynced record per line,
+a torn trailing line dropped and healed on resume. Records are
+versioned (``"v"``). Three record shapes share the file::
 
     {"v": 1, "record": "chain", "kernel": ..., "job_id": ...,
      "telemetry": {<ChainTelemetry wire form>}}
@@ -18,7 +18,7 @@ in-progress run is reportable live); the single ``campaign`` record
 lands at finalization with the plan-order merge of every chain; the
 single ``minimize`` record lands when the kernel's winning rewrite is
 shrunk (``repro minimize``, ``Session(minimize=...)``). A resumed run
-re-opens the journal in append mode, and records are deduplicated by
+re-opens the journal and appends, and records are deduplicated by
 (kernel, job_id) so chains satisfied from the job journal are
 backfilled exactly once.
 
@@ -34,10 +34,9 @@ extension of the engine's replay guarantee
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
+from repro import jsonl
 from repro.telemetry.chain import ChainTelemetry
 from repro.telemetry.metrics import Json, TelemetryError
 
@@ -77,11 +76,7 @@ def _validate(record: Json) -> Json:
 
 def iter_metrics(path: str | Path):
     """Stream-decode a metrics journal (torn trailing line dropped)."""
-    # imported lazily: the engine imports telemetry at module load (the
-    # sampler carries a ChainTelemetry), so the journal reaches back
-    # into the engine's shared JSONL reader only at call time
-    from repro.engine.serialize import iter_jsonl
-    for payload in iter_jsonl(path, "metrics journal"):
+    for payload in jsonl.iter_jsonl(path, "metrics journal"):
         yield _validate(payload)
 
 
@@ -92,35 +87,19 @@ def read_metrics(path: str | Path) -> list[Json]:
 class MetricsLog:
     """Appends telemetry records to one run directory's journal.
 
-    Mirrors the checkpoint journal's durability contract: every record
-    is flushed and fsynced before the engine moves on, and opening in
-    append mode (resume) heals a torn tail by atomically rewriting the
-    survivors. Appends deduplicate by (kernel, job_id) so a resume can
-    blindly backfill journal-satisfied chains.
+    Every record is fsynced before the engine moves on. Opening always
+    appends: it heals a torn tail (:func:`repro.jsonl.resume`) and
+    refuses records of an unknown version; emptying the journal for a
+    fresh run is :meth:`CheckpointStore.start_fresh`'s job. Appends
+    deduplicate by (kernel, job_id) so a resume can blindly backfill
+    journal-satisfied chains.
     """
 
-    def __init__(self, path: str | Path, *,
-                 append: bool = False) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._seen: set[tuple[str, str]] = set()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if append and self.path.exists():
-            from repro.engine.serialize import read_jsonl
-            records = read_jsonl(self.path, "metrics journal")
-            survivors = "".join(
-                json.dumps(_validate(record), sort_keys=True) + "\n"
-                for record in records)
-            if survivors != self.path.read_text():
-                tmp = self.path.with_suffix(".jsonl.tmp")
-                with tmp.open("w") as handle:
-                    handle.write(survivors)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path)
-            for record in records:
-                self._seen.add(self._key(record))
-        else:
-            self.path.write_text("")
+        self._seen = {self._key(_validate(record)) for record in
+                      jsonl.resume(self.path, "metrics journal")}
 
     @staticmethod
     def _key(record: Json) -> tuple[str, str]:
@@ -156,11 +135,7 @@ class MetricsLog:
         if key in self._seen:
             return False
         self._seen.add(key)
-        line = json.dumps(record, sort_keys=True)
-        with self.path.open("a") as journal:
-            journal.write(line + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
+        jsonl.append(self.path, record)
         return True
 
 

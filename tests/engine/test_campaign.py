@@ -11,8 +11,10 @@ import json
 import pytest
 
 import repro.engine.worker as worker_module
+from repro import jsonl
 from repro.engine.campaign import Campaign, EngineOptions
-from repro.engine.checkpoint import MANIFEST_VERSION, CheckpointStore
+from repro.engine.checkpoint import (_FINGERPRINT_FIELDS, MANIFEST_VERSION,
+                                     CheckpointStore)
 from repro.errors import EngineError
 from repro.search.config import SearchConfig
 from repro.suite.registry import benchmark
@@ -80,6 +82,35 @@ def test_fresh_run_discards_stale_journal(tmp_path):
     assert _ranking_key(first) == _ranking_key(second)
     journal = (run_dir / "jobs.jsonl").read_text().splitlines()
     assert len(journal) == 3
+
+
+def test_start_fresh_empties_journals_before_the_manifest(tmp_path,
+                                                          monkeypatch):
+    """start_fresh owns fresh-start truncation: every journal but the
+    counterexample flywheel is empty by the time the manifest lands, so
+    a crash in between cannot pair a new manifest with old results."""
+    store = CheckpointStore(tmp_path / "run")
+    store.run_dir.mkdir()
+    journals = ("jobs", "grants", "recovery", "events", "metrics")
+    for name in journals + ("cex_suite",):
+        (store.run_dir / f"{name}.jsonl").write_text('{"stale": 1}\n')
+    at_manifest = {}
+    replace = jsonl.replace_atomically
+
+    def spy(path, text):
+        if path == store.manifest_path:
+            at_manifest.update(
+                (name, (store.run_dir / f"{name}.jsonl").read_text())
+                for name in journals)
+        replace(path, text)
+
+    monkeypatch.setattr(jsonl, "replace_atomically", spy)
+    store.start_fresh(dict.fromkeys(_FINGERPRINT_FIELDS + ("testcases",)))
+    assert at_manifest == dict.fromkeys(journals, "")
+    assert (store.run_dir / "cex_suite.jsonl").read_text() == \
+        '{"stale": 1}\n'
+    assert json.loads(store.manifest_path.read_text())["version"] == \
+        MANIFEST_VERSION
 
 
 def test_resume_rejects_mismatched_campaign(tmp_path):

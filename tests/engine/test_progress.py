@@ -116,7 +116,7 @@ def test_new_event_types_survive_the_torn_tail_path(tmp_path):
     assert [e.event for e in survivors] == [KERNEL_GRANTED]
     assert survivors[0].data["reason"] == "scheduled"
     # appending after the tear truncates the fragment first
-    resumed = EventLog(path, append=True)
+    resumed = EventLog(path)
     resumed.emit(KERNEL_GRANTED, "p01", wave="optimization", chain=1,
                  granted=False, reason="deadline", jobs=0)
     events = read_events(path)
@@ -153,7 +153,7 @@ def test_event_log_drops_torn_tail(tmp_path):
 def test_event_log_resume_continues_sequence(tmp_path):
     path = tmp_path / "events.jsonl"
     EventLog(path).emit(CAMPAIGN_STARTED, "p01")
-    resumed = EventLog(path, append=True)
+    resumed = EventLog(path)
     event = resumed.emit(KERNEL_STOPPED, "p01", reason="exhausted")
     assert event.seq == 1
     assert len(read_events(path)) == 2
@@ -169,7 +169,7 @@ def test_event_log_resume_truncates_torn_tail(tmp_path):
              kind="optimization", verified=1, new_testcases=0)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:10])
-    resumed = EventLog(path, append=True)
+    resumed = EventLog(path)
     resumed.emit(KERNEL_STOPPED, "p01", reason="exhausted")
     resumed.emit(CAMPAIGN_FINISHED, "p01", verified=True,
                  rewrite_cycles=2, speedup=2.0)
@@ -177,6 +177,23 @@ def test_event_log_resume_truncates_torn_tail(tmp_path):
     assert [e.event for e in events] == \
         [CAMPAIGN_STARTED, KERNEL_STOPPED, CAMPAIGN_FINISHED]
     assert [e.seq for e in events] == [0, 1, 2]
+
+
+def test_event_log_refuses_to_append_to_a_foreign_stream(tmp_path):
+    """Resuming decodes the stream, so events are never appended onto
+    one of another version (or one with malformed records)."""
+    path = tmp_path / "events.jsonl"
+    EventLog(path).emit(CAMPAIGN_STARTED, "p01")
+    record = json.loads(path.read_text())
+    record["v"] = EVENT_STREAM_VERSION + 1
+    foreign = json.dumps(record) + "\n"
+    path.write_text(foreign)
+    with pytest.raises(EngineError, match="refusing to misread"):
+        EventLog(path)
+    path.write_text(foreign.replace('"seq"', '"sequence"'))
+    with pytest.raises(EngineError, match="missing"):
+        EventLog(path)
+    assert path.read_text() == foreign.replace('"seq"', '"sequence"')
 
 
 # -- campaigns stream ---------------------------------------------------------

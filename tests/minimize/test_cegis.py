@@ -73,6 +73,22 @@ def test_torn_trailing_line_is_tolerated(tmp_path):
     assert len(CounterexampleSuite(path).testcases()) == 2
 
 
+def test_appends_after_a_torn_tail_lose_nothing(tmp_path):
+    """A crash mid-append leaves a fragment; the next appends must not
+    fuse onto it (losing that counterexample, then corrupting every
+    later read of the suite)."""
+    path = tmp_path / "cex_suite.jsonl"
+    first, second, third, fourth = _testcases(4, seed=7)
+    CounterexampleSuite(path).append([first, second])
+    with path.open("a") as handle:
+        handle.write('{"v": 1, "testcase": {"inp')   # crash mid-write
+    suite = CounterexampleSuite(path)
+    assert suite.append([third]) == 1
+    assert suite.append([fourth]) == 1
+    assert CounterexampleSuite(path).testcases() == \
+        [first, second, third, fourth]
+
+
 def test_future_record_versions_are_skipped_not_fatal(tmp_path):
     path = tmp_path / "cex_suite.jsonl"
     suite = CounterexampleSuite(path)

@@ -51,7 +51,7 @@ def test_append_mode_heals_torn_tail_and_remembers_keys(tmp_path):
     _log_two_chains(path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:25])
-    log = MetricsLog(path, append=True)
+    log = MetricsLog(path)
     # the torn record is gone and can be re-journaled ...
     assert len(path.read_text().splitlines()) == 1
     assert log.record_chain("p01", "opt-c001-s000",
