@@ -64,9 +64,8 @@ class Result:
     #: their ids — graceful degradation is reported, never silent.
     chains_quarantined: int = 0
     quarantined_jobs: list[str] = field(default_factory=list)
-    #: Deterministic search-telemetry summary (merged over all chains);
-    #: None when no chain carried telemetry.
-    telemetry: dict[str, Any] | None = None
+    #: Deterministic search-telemetry summary (merged over all chains).
+    telemetry: dict[str, Any] = field(default_factory=dict)
     #: Shrink summary (``MinimizeResult.to_json()`` minus runtime) when
     #: the session ran with minimization; None otherwise.
     minimize: dict[str, Any] | None = None
@@ -210,17 +209,14 @@ class Session:
     def wrap(self, campaign: Campaign, outcome: StokeResult) -> Result:
         """Report one campaign outcome as a :class:`Result`."""
         merged = outcome.merged_telemetry()
-        telemetry = None
-        if merged is not None:
-            telemetry = {
-                "proposals": merged.proposals,
-                "accepted": merged.accepted,
-                "acceptance_rate": round(merged.acceptance_rate(), 4),
-                "testcases_per_proposal":
-                    round(merged.testcase_hist.mean(), 3),
-                "moves": {kind: row
-                          for kind, row in merged.move_table()},
-            }
+        telemetry = {
+            "proposals": merged.proposals,
+            "accepted": merged.accepted,
+            "acceptance_rate": round(merged.acceptance_rate(), 4),
+            "testcases_per_proposal":
+                round(merged.testcases_per_proposal, 3),
+            "moves": {kind: row for kind, row in merged.move_table()},
+        }
         minimized = self._minimize_outcome(campaign, outcome)
         rewrite = outcome.rewrite
         rewrite_cycles = outcome.rewrite_cycles

@@ -23,7 +23,7 @@ from typing import Any
 from repro.cost.correctness import CostWeights
 from repro.errors import EngineError
 from repro.search.config import SearchConfig
-from repro.search.mcmc import ChainResult, ChainStats
+from repro.search.mcmc import ChainResult
 from repro.telemetry.chain import ChainTelemetry
 from repro.testgen.annotations import (Annotations, ConstantInput,
                                        InputKind, PointerInput,
@@ -180,30 +180,6 @@ def config_from_json(data: Json) -> SearchConfig:
 
 # -- chain diagnostics --------------------------------------------------------
 
-def _stats_to_json(stats: ChainStats) -> Json:
-    return {
-        "proposals": stats.proposals,
-        "accepted": stats.accepted,
-        "testcases_evaluated": stats.testcases_evaluated,
-        "seconds": stats.seconds,
-        "cost_trace": [list(pair) for pair in stats.cost_trace],
-        "testcases_trace": [list(pair)
-                            for pair in stats.testcases_trace],
-    }
-
-
-def _stats_from_json(data: Json) -> ChainStats:
-    return ChainStats(
-        proposals=data["proposals"],
-        accepted=data["accepted"],
-        testcases_evaluated=data["testcases_evaluated"],
-        seconds=data["seconds"],
-        cost_trace=[(step, cost) for step, cost in data["cost_trace"]],
-        testcases_trace=[(step, rate)
-                         for step, rate in data["testcases_trace"]],
-    )
-
-
 def chain_to_json(chain: ChainResult | None) -> Json | None:
     if chain is None:
         return None
@@ -214,9 +190,7 @@ def chain_to_json(chain: ChainResult | None) -> Json | None:
         "current_cost": chain.current_cost,
         "zero_cost": [[cost, program_to_json(prog)]
                       for cost, prog in chain.zero_cost],
-        "stats": _stats_to_json(chain.stats),
-        "telemetry": (None if chain.telemetry is None
-                      else chain.telemetry.to_json()),
+        "telemetry": chain.stats.to_json(),
     }
 
 
@@ -230,9 +204,7 @@ def chain_from_json(data: Json | None) -> ChainResult | None:
         current_cost=data["current_cost"],
         zero_cost=[(cost, program_from_json(prog))
                    for cost, prog in data["zero_cost"]],
-        stats=_stats_from_json(data["stats"]),
-        telemetry=(None if data.get("telemetry") is None
-                   else ChainTelemetry.from_json(data["telemetry"])),
+        stats=ChainTelemetry.from_json(data["telemetry"]),
     )
 
 

@@ -216,9 +216,9 @@ class KernelSchedule:
             self._latency_max = max(self._latency_max, latency)
         self._sample_occupancy()
         chain = payload.get("chain")
-        telemetry = None if chain is None else chain.get("telemetry")
-        if self.metrics is not None and telemetry is not None:
-            self.metrics.record_chain(self.name, job_id, telemetry)
+        if self.metrics is not None and chain is not None:
+            self.metrics.record_chain(self.name, job_id,
+                                      chain["telemetry"])
         if self.cex_suite is not None and payload["new_testcases"]:
             self.cex_suite.append(
                 self._result_for(job_id).new_testcases)
@@ -583,9 +583,9 @@ class KernelSchedule:
         for job in list(self._synth_plan) + list(self._opt_plan):
             payload = self.completed.get(job.job_id)
             chain = None if payload is None else payload.get("chain")
-            telemetry = None if chain is None else chain.get("telemetry")
-            if telemetry is None:
-                continue                # pre-v5 journal, or no chain
+            if chain is None:
+                continue
+            telemetry = chain["telemetry"]
             self.metrics.record_chain(self.name, job.job_id, telemetry)
             merged.absorb(ChainTelemetry.from_json(telemetry))
         runtime = {

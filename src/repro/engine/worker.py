@@ -116,12 +116,12 @@ def run_chain_job(context: CampaignContext, job: ChainJob) -> Json:
                                   generator, context.validator, config,
                                   strategy=strategy)
         outcome = phase.run(job.start, seed=job.seed)
-    if outcome.chain is not None and outcome.chain.telemetry is not None:
+    if outcome.chain is not None:
         # the process-global counter delta is this job's share of cache
         # traffic; nondeterministic across pool placements, so it files
         # under the chain's runtime section
         after = evaluator_counters()
-        outcome.chain.telemetry.runtime["evaluator"] = {
+        outcome.chain.stats.runtime["evaluator"] = {
             name: after[name] - before
             for name, before in counters_before.items()}
     result = JobResult(

@@ -1,7 +1,7 @@
 """Stochastic search: moves, MCMC, phases, ranking, the STOKE pipeline."""
 
 from repro.search.config import SearchConfig
-from repro.search.mcmc import ChainResult, ChainStats, MCMCSampler
+from repro.search.mcmc import ChainResult, MCMCSampler
 from repro.search.moves import (DEFAULT_CONSTANT_BAG, EXCLUDED_FAMILIES,
                                 MoveGenerator, MoveKind)
 from repro.search.phases import (OptimizationPhase, PhaseResult,
@@ -13,9 +13,9 @@ from repro.search.strategies import (AnnealingStrategy, GreedyStrategy,
                                      StrategySpec, available_strategies,
                                      make_strategy, register_strategy)
 
-__all__ = ["AnnealingStrategy", "ChainResult", "ChainStats",
-           "DEFAULT_CONSTANT_BAG", "EXCLUDED_FAMILIES", "GreedyStrategy",
-           "MCMCSampler", "MCMCStrategy", "MoveGenerator", "MoveKind",
+__all__ = ["AnnealingStrategy", "ChainResult", "DEFAULT_CONSTANT_BAG",
+           "EXCLUDED_FAMILIES", "GreedyStrategy", "MCMCSampler",
+           "MCMCStrategy", "MoveGenerator", "MoveKind",
            "OptimizationPhase", "PhaseResult", "RankedRewrite",
            "SearchConfig", "SearchStrategy", "Stoke", "StokeResult",
            "StrategySpec", "SynthesisPhase", "available_strategies",

@@ -11,9 +11,12 @@ we could accept (Eq. 14),
 
     c(R*) < c(R) - log(p) / beta
 
-and then evaluates testcases only until that bound is exceeded. The
-sampler records the per-proposal testcase counts so Figure 5 can be
-regenerated.
+and then evaluates testcases only until that bound is exceeded.
+
+Each chain carries one record, its
+:class:`~repro.telemetry.chain.ChainTelemetry`: the counters, the
+downsampled cost trace (Figure 4) and the per-proposal testcase
+histogram (Figure 5). Recording it never touches the rng.
 """
 
 from __future__ import annotations
@@ -21,54 +24,24 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cost.function import CostFunction
 from repro.search.moves import MoveGenerator
 from repro.telemetry.chain import ChainTelemetry
-from repro.telemetry.metrics import safe_rate
 from repro.x86.program import Program
 
 
 @dataclass
-class ChainStats:
-    """Counters and traces collected while a chain runs."""
-
-    proposals: int = 0
-    accepted: int = 0
-    testcases_evaluated: int = 0
-    seconds: float = 0.0
-    cost_trace: list[tuple[int, int]] = field(default_factory=list)
-    testcases_trace: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def proposals_per_second(self) -> float:
-        """Inner-loop throughput, finite even for sub-resolution runs.
-
-        A short chain can finish between two ticks of the clock
-        (``seconds == 0`` with proposals run); ``safe_rate`` clamps the
-        elapsed time instead of reporting a false 0.0.
-        """
-        return safe_rate(self.proposals, self.seconds)
-
-    @property
-    def testcases_per_proposal(self) -> float:
-        if not self.proposals:
-            return 0.0
-        return self.testcases_evaluated / self.proposals
-
-
-@dataclass
 class ChainResult:
-    """Final state of one MCMC chain."""
+    """Final state of one MCMC chain; ``stats`` is its one record."""
 
     best_program: Program
     best_cost: int
     current_program: Program
     current_cost: int
     zero_cost: list[tuple[int, Program]]     # (cost, program), eq' == 0
-    stats: ChainStats
-    telemetry: ChainTelemetry | None = None
+    stats: ChainTelemetry
 
 
 class MCMCSampler:
@@ -77,19 +50,12 @@ class MCMCSampler:
     def __init__(self, cost_fn: CostFunction, moves: MoveGenerator,
                  start: Program, *, beta: float,
                  rng: random.Random,
-                 early_termination: bool = True,
-                 trace_every: int = 64,
-                 telemetry: bool = True) -> None:
+                 early_termination: bool = True) -> None:
         self.cost_fn = cost_fn
         self.moves = moves
         self.beta = beta
         self.rng = rng
         self.early_termination = early_termination
-        self.trace_every = trace_every
-        # telemetry=False exists for the overhead benchmark
-        # (benchmarks/bench_inner_loop.py); recording never touches the
-        # rng, so the chain's decisions are identical either way
-        self.telemetry = telemetry
         self.current = start
         result = cost_fn.evaluate(start)
         assert result.value is not None
@@ -121,28 +87,20 @@ class MCMCSampler:
             stop_at_zero: end early once a zero-eq-cost rewrite appears
                 (used by the synthesis phase).
         """
-        stats = ChainStats()
-        telemetry = ChainTelemetry() if self.telemetry else None
+        stats = ChainTelemetry()
         start_time = time.perf_counter()
-        window_testcases = 0
-        window_proposals = 0
         step = -1
         for step in range(proposals):
-            stats.proposals += 1
             candidate, kind = self.moves.propose(self.current)
             p = self.rng.random()
             bound = self._acceptance_bound(step, p)
             result = self.cost_fn.evaluate(
                 candidate, bound=bound if self.early_termination else None)
-            stats.testcases_evaluated += result.testcases_evaluated
-            window_testcases += result.testcases_evaluated
-            window_proposals += 1
             accept = (not result.exceeded and
                       result.value is not None and
                       result.value <= bound)
             previous_cost = self.current_cost
             if accept:
-                stats.accepted += 1
                 assert result.value is not None
                 self.current = candidate
                 self.current_cost = result.value
@@ -154,30 +112,20 @@ class MCMCSampler:
                     if len(self.zero_cost) > 2 * self._zero_cost_cap:
                         self.zero_cost.sort(key=lambda pair: pair[0])
                         del self.zero_cost[self._zero_cost_cap:]
-            if telemetry is not None:
-                delta = (None if result.exceeded or result.value is None
-                         else result.value - previous_cost)
-                telemetry.record_proposal(
-                    telemetry.move_row(kind.value),
-                    accepted=accept, delta=delta,
-                    bounded=result.exceeded,
-                    testcases=result.testcases_evaluated,
-                    step=step, cost=self.current_cost,
-                    best=self.best_cost)
-            if step % self.trace_every == 0:
-                stats.cost_trace.append((step, self.current_cost))
-                if window_proposals:
-                    stats.testcases_trace.append(
-                        (step, window_testcases / window_proposals))
-                window_testcases = 0
-                window_proposals = 0
+            delta = (None if result.exceeded or result.value is None
+                     else result.value - previous_cost)
+            stats.record_proposal(
+                stats.move_row(kind.value),
+                accepted=accept, delta=delta,
+                bounded=result.exceeded,
+                testcases=result.testcases_evaluated,
+                step=step, cost=self.current_cost,
+                best=self.best_cost)
             if stop_at_zero and self.zero_cost:
                 break
-        stats.seconds = time.perf_counter() - start_time
-        if telemetry is not None:
-            if step >= 0:
-                telemetry.seal(step, self.current_cost, self.best_cost)
-            telemetry.runtime["seconds"] = stats.seconds
+        stats.runtime["seconds"] = time.perf_counter() - start_time
+        if step >= 0:
+            stats.seal(step, self.current_cost, self.best_cost)
         return ChainResult(
             best_program=self.best,
             best_cost=self.best_cost,
@@ -185,5 +133,4 @@ class MCMCSampler:
             current_cost=self.current_cost,
             zero_cost=sorted(self.zero_cost, key=lambda pair: pair[0]),
             stats=stats,
-            telemetry=telemetry,
         )

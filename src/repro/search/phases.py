@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.cost.function import CostFunction, Phase
 from repro.search.config import SearchConfig
-from repro.search.mcmc import ChainResult, ChainStats
+from repro.search.mcmc import ChainResult
 from repro.search.moves import MoveGenerator
 from repro.search.strategies import MCMCStrategy, SearchStrategy
 from repro.testgen.generator import TestcaseGenerator
@@ -171,27 +171,9 @@ def _merge_chain(acc: ChainResult | None,
                  chain: ChainResult) -> ChainResult:
     if acc is None:
         return chain
-    # segments of one chain continue each other: telemetry traces are
-    # shifted by the proposals already run, mirroring the legacy traces
-    telemetry = acc.telemetry
-    if telemetry is not None and chain.telemetry is not None:
-        telemetry.extend(chain.telemetry,
-                         step_offset=acc.stats.proposals)
-    elif chain.telemetry is not None:
-        telemetry = chain.telemetry
-    stats = ChainStats(
-        proposals=acc.stats.proposals + chain.stats.proposals,
-        accepted=acc.stats.accepted + chain.stats.accepted,
-        testcases_evaluated=(acc.stats.testcases_evaluated +
-                             chain.stats.testcases_evaluated),
-        seconds=acc.stats.seconds + chain.stats.seconds,
-        cost_trace=acc.stats.cost_trace + [
-            (step + acc.stats.proposals, cost)
-            for step, cost in chain.stats.cost_trace],
-        testcases_trace=acc.stats.testcases_trace + [
-            (step + acc.stats.proposals, rate)
-            for step, rate in chain.stats.testcases_trace],
-    )
+    # segments of one chain continue each other: the segment's trace
+    # steps shift by the proposals already run
+    acc.stats.extend(chain.stats, step_offset=acc.stats.proposals)
     best = chain if chain.best_cost < acc.best_cost else acc
     return ChainResult(
         best_program=best.best_program,
@@ -200,6 +182,5 @@ def _merge_chain(acc: ChainResult | None,
         current_cost=chain.current_cost,
         zero_cost=sorted(acc.zero_cost + chain.zero_cost,
                          key=lambda pair: pair[0]),
-        stats=stats,
-        telemetry=telemetry,
+        stats=acc.stats,
     )

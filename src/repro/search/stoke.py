@@ -119,20 +119,13 @@ class StokeResult:
         proposals, testcases, _seconds = self._chain_totals()
         return testcases / proposals if proposals else 0.0
 
-    def merged_telemetry(self) -> ChainTelemetry | None:
-        """Every chain's search telemetry absorbed into one aggregate.
-
-        Counter-only (traces are per chain); None when no chain
-        carried telemetry (pre-v5 journals, or samplers built with
-        ``telemetry=False``).
-        """
-        merged: ChainTelemetry | None = None
+    def merged_telemetry(self) -> ChainTelemetry:
+        """Every chain's search telemetry absorbed into one aggregate
+        (counters only: traces are per chain)."""
+        merged = ChainTelemetry()
         for phase in self.synthesis + self.optimization:
-            if phase.chain is None or phase.chain.telemetry is None:
-                continue
-            if merged is None:
-                merged = ChainTelemetry()
-            merged.absorb(phase.chain.telemetry)
+            if phase.chain is not None:
+                merged.absorb(phase.chain.stats)
         return merged
 
 

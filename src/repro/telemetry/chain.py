@@ -18,16 +18,16 @@ caches a chain warms), so they ride in the separate ``runtime`` dict
 that the journal keeps out of the deterministic document.
 
 The recording hot path is :meth:`record_proposal` — one call per MCMC
-proposal, a handful of list-index increments — measured at under 3%
-of compiled-evaluator throughput (``benchmarks/bench_inner_loop.py``
-tracks the overhead in ``BENCH_inner_loop.json``).
+proposal, a handful of list-index increments. Telemetry is always on
+(it is the chain's only record), so its cost is inside every
+throughput number the benchmarks report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.telemetry.metrics import Histogram, Json, Series
+from repro.telemetry.metrics import Histogram, Json, Series, safe_rate
 
 #: Move-table column layout (the wire format is named, this is the
 #: in-memory fast path): proposals, acceptances, summed accepted cost
@@ -95,11 +95,34 @@ class ChainTelemetry:
         self.best_trace.record(step, best)
 
     def seal(self, step: int, cost: int, best: int) -> None:
-        """Pin the chain's final point onto both traces."""
-        self.cost_trace.record(step, cost, force=True)
-        self.best_trace.record(step, best, force=True)
+        """Pin the chain's final point onto both traces.
+
+        A final step that fell on the stride is already kept by
+        :meth:`record_proposal` with the same value; forcing it again
+        would duplicate the point.
+        """
+        for trace, y in ((self.cost_trace, cost), (self.best_trace, best)):
+            if not trace.points or trace.points[-1][0] != step:
+                trace.record(step, y, force=True)
 
     # -- derived views ----------------------------------------------------
+
+    @property
+    def seconds(self) -> float:
+        """Wall-clock seconds the chain ran (summed over segments)."""
+        return self.runtime.get("seconds", 0.0)
+
+    @property
+    def proposals_per_second(self) -> float:
+        """Inner-loop throughput, finite even for sub-resolution runs."""
+        return safe_rate(self.proposals, self.seconds)
+
+    @property
+    def testcases_per_proposal(self) -> float:
+        """Exact mean testcases evaluated per proposal (Fig. 5)."""
+        if not self.proposals:
+            return 0.0
+        return self.testcases_evaluated / self.proposals
 
     def acceptance_rate(self, kind: str | None = None) -> float:
         if kind is None:
@@ -123,8 +146,7 @@ class ChainTelemetry:
 
         The optimization phase runs one chain as restart segments;
         their traces continue each other, so the segment's steps shift
-        by the proposals already recorded (mirroring how
-        ``ChainStats`` merges its legacy traces).
+        by the proposals already recorded.
         """
         self._absorb_counters(other)
         if "seconds" in other.runtime:

@@ -119,14 +119,6 @@ class Histogram:
     def total(self) -> int:
         return sum(self.buckets) + self.overflow
 
-    def mean(self) -> float:
-        """The mean observation (overflow counted at ``cap``)."""
-        total = self.total
-        if not total:
-            return 0.0
-        weighted = sum(i * n for i, n in enumerate(self.buckets))
-        return (weighted + self.overflow * self.cap) / total
-
     def nonzero(self) -> list[tuple[int, int]]:
         """(value, count) pairs for the populated buckets."""
         pairs = [(i, n) for i, n in enumerate(self.buckets) if n]

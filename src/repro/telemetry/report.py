@@ -108,7 +108,7 @@ def summary_table(documents: list[Json]) -> list[str]:
             f"{document['kernel']:>8}  {len(document['chains']):>6}  "
             f"{merged.proposals:>10,}  "
             f"{100 * merged.acceptance_rate():>7.2f}%  "
-            f"{merged.testcase_hist.mean():>8.2f}  {rate:>10,.0f}  "
+            f"{merged.testcases_per_proposal:>8.2f}  {rate:>10,.0f}  "
             f"{'finished' if document['complete'] else 'running'}")
     return lines
 
@@ -139,7 +139,7 @@ def testcase_histogram(document: Json, width: int = 32) -> list[str]:
         label = f"{value}" if value < cap else f">={cap}"
         lines.append(f"  {label:>5} tc  {count:>9,}  "
                      f"{_bar(count, peak, width)}")
-    lines.append(f"  mean {merged.testcase_hist.mean():.2f} testcases "
+    lines.append(f"  mean {merged.testcases_per_proposal:.2f} testcases "
                  f"per proposal (Eq. 14 short-circuit)")
     return lines
 

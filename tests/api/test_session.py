@@ -6,6 +6,7 @@ bit-identical to ``Session`` at defaults, and ``jobs=2`` equals
 survive the trip through worker-process serialization).
 """
 
+import dataclasses
 import json
 
 from repro.api.session import Session
@@ -90,7 +91,8 @@ def test_strategies_explore_differently():
     # same seeds, same proposals — a different acceptance rule must
     # show up in the accept counters or the search did not change
     assert (mcmc_chain.stats.accepted != greedy_chain.stats.accepted
-            or mcmc_chain.stats.cost_trace != greedy_chain.stats.cost_trace)
+            or mcmc_chain.stats.cost_trace.points
+            != greedy_chain.stats.cost_trace.points)
 
 
 def test_validator_none_skips_validation():
@@ -98,3 +100,18 @@ def test_validator_none_skips_validation():
                      validator=None).run()
     assert all(phase.validations == 0
                for phase in result.stoke.optimization)
+
+
+def test_telemetry_testcases_per_proposal_is_the_exact_mean():
+    # a suite larger than the histogram cap puts fully evaluated
+    # proposals in the overflow bucket; the summary must still report
+    # the exact mean, the same number as the top-level field
+    config = dataclasses.replace(CONFIG, testcase_count=80,
+                                 optimization_proposals=400,
+                                 optimization_chains=1)
+    result = Session(Target.from_suite("p01"), config=config,
+                     validator=None).run()
+    exact = round(result.testcases_per_proposal, 3)
+    assert result.telemetry["testcases_per_proposal"] == exact
+    assert result.to_json()["telemetry"]["testcases_per_proposal"] == \
+        exact

@@ -79,8 +79,6 @@ def _canonical(payload):
     payload = json.loads(json.dumps(payload, sort_keys=True))
     chain = payload.get("chain")
     if isinstance(chain, dict):
-        if isinstance(chain.get("stats"), dict):
-            chain["stats"].pop("seconds", None)
         if isinstance(chain.get("telemetry"), dict):
             chain["telemetry"].pop("runtime", None)
     return json.dumps(payload, sort_keys=True)

@@ -5,7 +5,7 @@ import pytest
 from repro.engine import serialize
 from repro.errors import EngineError
 from repro.search.config import SearchConfig
-from repro.search.mcmc import ChainResult, ChainStats
+from repro.search.mcmc import ChainResult
 from repro.suite.registry import benchmark
 from repro.telemetry import ChainTelemetry
 from repro.testgen.annotations import (Annotations, ConstantInput,
@@ -70,38 +70,45 @@ def test_config_roundtrip():
     assert back == config
 
 
-def test_chain_result_roundtrip():
-    prog = parse_program("movq rdi, rax").padded(4)
-    stats = ChainStats(proposals=10, accepted=3,
-                       testcases_evaluated=55, seconds=0.5,
-                       cost_trace=[(0, 9), (5, 2)],
-                       testcases_trace=[(0, 1.5)])
-    chain = ChainResult(best_program=prog, best_cost=2,
-                        current_program=prog, current_cost=4,
-                        zero_cost=[(0, prog)], stats=stats)
-    back = serialize.chain_from_json(serialize.chain_to_json(chain))
-    assert back == chain
-    assert serialize.chain_from_json(None) is None
-
-
-def test_chain_result_roundtrip_carries_telemetry():
+def _chain():
     prog = parse_program("movq rdi, rax").padded(4)
     telemetry = ChainTelemetry()
     telemetry.record_proposal(telemetry.move_row("opcode"),
                               accepted=True, delta=-3, bounded=False,
                               testcases=2, step=0, cost=7, best=7)
+    telemetry.record_proposal(telemetry.move_row("swap"),
+                              accepted=False, delta=None, bounded=True,
+                              testcases=1, step=1, cost=7, best=7)
+    telemetry.seal(1, 7, 7)
     telemetry.runtime["seconds"] = 0.25
-    chain = ChainResult(best_program=prog, best_cost=7,
-                        current_program=prog, current_cost=7,
-                        zero_cost=[], stats=ChainStats(proposals=1),
-                        telemetry=telemetry)
+    return ChainResult(best_program=prog, best_cost=7,
+                       current_program=prog, current_cost=7,
+                       zero_cost=[(0, prog)], stats=telemetry)
+
+
+def test_chain_result_roundtrip():
+    chain = _chain()
     payload = serialize.chain_to_json(chain)
+    assert "stats" not in payload
     back = serialize.chain_from_json(payload)
     assert back == chain
-    assert back.telemetry == telemetry
-    # v4 journals predate the field; absence decodes as None
-    del payload["telemetry"]
-    assert serialize.chain_from_json(payload).telemetry is None
+    assert back.stats.seconds == 0.25
+    assert serialize.chain_from_json(None) is None
+
+
+def test_chain_result_roundtrip_carries_telemetry():
+    """A payload in the older two-section format (a ``stats`` copy of
+    the counters and traces beside the ``telemetry`` record) still
+    decodes: the whole ``stats`` section is ignored, so journals
+    written before the merge resume."""
+    chain = _chain()
+    payload = serialize.chain_to_json(chain)
+    payload["stats"] = {"proposals": 2, "accepted": 1,
+                        "testcases_evaluated": 3, "seconds": 0.25,
+                        "cost_trace": [[0, 7]]}
+    back = serialize.chain_from_json(payload)
+    assert back == chain
+    assert back.stats.to_json() == chain.stats.to_json()
 
 
 def test_require_fields_rejects_missing():

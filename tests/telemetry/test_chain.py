@@ -84,3 +84,46 @@ def test_absorb_is_order_insensitive():
     assert forward.proposals == sum(c.proposals for c in chains)
     # traces stay per-chain: absorb never invents a merged curve
     assert forward.cost_trace.points == []
+
+
+def _strictly_increasing(series):
+    xs = [x for x, _y in series.points]
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def test_seal_never_duplicates_the_final_point():
+    # a short chain keeps every step, so its last step is already on
+    # the trace when the chain is sealed
+    single = _sample_chain(steps=60)
+    merged = _sample_chain(steps=60)
+    merged.extend(_sample_chain(steps=60), step_offset=60)
+    for telemetry, last in ((single, 59), (merged, 119)):
+        for series in (telemetry.cost_trace, telemetry.best_trace):
+            assert _strictly_increasing(series)
+            assert series.points[-1][0] == last
+
+
+def test_seal_pins_a_final_step_off_the_stride():
+    telemetry = ChainTelemetry()
+    telemetry.cost_trace.stride = telemetry.best_trace.stride = 4
+    for step in range(6):
+        _record(telemetry, "opcode", accepted=False, delta=1,
+                bounded=False, testcases=1, step=step, cost=9, best=9)
+    telemetry.seal(5, 9, 9)
+    assert [x for x, _y in telemetry.cost_trace.points] == [0, 4, 5]
+    assert [x for x, _y in telemetry.best_trace.points] == [0, 4, 5]
+
+
+def test_derived_rates_use_the_exact_counters():
+    telemetry = ChainTelemetry()
+    assert telemetry.seconds == 0.0
+    assert telemetry.testcases_per_proposal == 0.0
+    assert telemetry.proposals_per_second == 0.0
+    for testcases in (70, 90):          # both land in the overflow bucket
+        _record(telemetry, "opcode", accepted=False, delta=1,
+                bounded=False, testcases=testcases, step=0, cost=9,
+                best=9)
+    telemetry.runtime["seconds"] = 0.5
+    assert telemetry.testcases_per_proposal == 80.0
+    assert telemetry.seconds == 0.5
+    assert telemetry.proposals_per_second == 4.0
