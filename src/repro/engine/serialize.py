@@ -30,7 +30,7 @@ from repro.testgen.annotations import (Annotations, ConstantInput,
                                        RandomInput, RangeInput)
 from repro.testgen.testcase import Testcase
 from repro.verifier.validator import LiveSpec
-from repro.x86.instruction import UNUSED, is_unused
+from repro.x86.instruction import UNUSED, Instruction, is_unused
 from repro.x86.operands import Mem
 from repro.x86.parser import parse_instruction
 from repro.x86.program import Program
@@ -49,8 +49,26 @@ def program_to_json(prog: Program) -> Json:
     }
 
 
+#: Decoded instructions by slot text. A journal repeats a few hundred
+#: distinct slots thousands of times; instructions are immutable, so
+#: equal slots share one instance (and the step compiled onto it).
+_DECODED: dict[str, Instruction] = {}
+_DECODED_LIMIT = 1 << 14
+
+
+def _decode_slot(slot: str) -> Instruction:
+    instr = _DECODED.get(slot) if type(slot) is str else None
+    if instr is None:
+        # a slot that fails to parse raises here, before it is kept
+        instr = parse_instruction(slot)
+        if len(_DECODED) >= _DECODED_LIMIT:
+            _DECODED.clear()
+        _DECODED[slot] = instr
+    return instr
+
+
 def program_from_json(data: Json) -> Program:
-    code = tuple(UNUSED if slot is None else parse_instruction(slot)
+    code = tuple(UNUSED if slot is None else _decode_slot(slot)
                  for slot in data["slots"])
     labels = {name: int(index)
               for name, index in data["labels"].items()}

@@ -87,6 +87,10 @@ def context_from_json(data: Json) -> CampaignContext:
     )
 
 
+def _delta(before: Json, after: Json) -> Json:
+    return {name: after[name] - start for name, start in before.items()}
+
+
 def run_chain_job(context: CampaignContext, job: ChainJob) -> Json:
     """Run one chain and return its plain-JSON result payload."""
     from repro.emulator.compile import evaluator_counters
@@ -94,7 +98,10 @@ def run_chain_job(context: CampaignContext, job: ChainJob) -> Json:
     generator = TestcaseGenerator(context.target, context.spec,
                                   context.annotations, seed=config.seed)
     base_count = len(context.testcases)
+    validator = context.validator
     counters_before = evaluator_counters()
+    proofs_before = validator.counters() if validator is not None \
+        else None
     synthesis = job.kind == SYNTHESIS
     cost_fn = CostFunction(
         context.testcases, context.target,
@@ -117,13 +124,16 @@ def run_chain_job(context: CampaignContext, job: ChainJob) -> Json:
                                   strategy=strategy)
         outcome = phase.run(job.start, seed=job.seed)
     if outcome.chain is not None:
-        # the process-global counter delta is this job's share of cache
-        # traffic; nondeterministic across pool placements, so it files
-        # under the chain's runtime section
-        after = evaluator_counters()
-        outcome.chain.stats.runtime["evaluator"] = {
-            name: after[name] - before
-            for name, before in counters_before.items()}
+        # the counter deltas are this job's share of the process-global
+        # evaluator caches and of the per-process validator memo;
+        # nondeterministic across pool placements, so they file under
+        # the chain's runtime section
+        runtime = outcome.chain.stats.runtime
+        runtime["evaluator"] = _delta(counters_before,
+                                      evaluator_counters())
+        if validator is not None:
+            runtime["validator"] = _delta(proofs_before,
+                                          validator.counters())
     result = JobResult(
         job_id=job.job_id,
         kind=job.kind,

@@ -139,7 +139,7 @@ class Minimizer:
             measure_before=program_measure(rewrite),
             measure_after=program_measure(rewrite))
         result.verify_calls += 1
-        entry = self.validator.validate(self.target, rewrite, self.spec)
+        entry = self.validator.prove(self.target, rewrite, self.spec)
         if not entry.equivalent:
             self._refine(entry.counterexample, suite, result)
             result.seconds = time.perf_counter() - start
@@ -179,8 +179,8 @@ class Minimizer:
                 result.prefilter_rejects += 1
                 continue
             result.verify_calls += 1
-            outcome = self.validator.validate(self.target, candidate,
-                                              self.spec)
+            outcome = self.validator.prove(self.target, candidate,
+                                           self.spec)
             if outcome.equivalent:
                 result.accepted[name] = result.accepted.get(name, 0) + 1
                 return candidate

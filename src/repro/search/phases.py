@@ -40,7 +40,8 @@ class PhaseResult:
         candidates: zero-test-cost rewrites that were not validated
             (either unattempted or refuted-then-refined).
         chain: raw chain diagnostics.
-        validations: number of validator calls made.
+        validations: number of validator queries made, memo hits
+            included (a ``validations`` budget spends this count).
     """
 
     verified: list[Program] = field(default_factory=list)
@@ -90,8 +91,8 @@ class _ValidatingPhase:
             rounds += 1
             result.validations += 1
             cleaned = eliminate_dead_code(program, self.spec).compact()
-            outcome = self.validator.validate(self.target, cleaned,
-                                              self.spec)
+            outcome = self.validator.prove(self.target, cleaned,
+                                           self.spec)
             if outcome.equivalent:
                 result.verified.append(cleaned)
                 continue

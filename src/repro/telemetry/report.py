@@ -14,6 +14,8 @@ kernel) and prints, per the paper's diagnostics:
 * the acceptance-rate-by-move table (§3.2's proposal distribution);
 * the testcases-evaluated-per-proposal histogram (Fig. 5, the Eq. 14
   short-circuit's payoff);
+* the validator's work: proofs run, queries answered from its memo, and
+  seconds spent proving (Eq. 12's refinement loop);
 * the worker-occupancy timeline and grant-latency summary from the
   scheduler's runtime section.
 
@@ -144,6 +146,18 @@ def testcase_histogram(document: Json, width: int = 32) -> list[str]:
     return lines
 
 
+def validation_line(document: Json) -> str:
+    """Validator work summed over the chains' runtime sections."""
+    totals = {"proofs": 0, "memo_hits": 0, "seconds": 0.0}
+    for telemetry in document["chains"].values():
+        counts = telemetry.get("runtime", {}).get("validator", {})
+        for name in totals:
+            totals[name] += counts.get(name, 0)
+    return (f"[{document['kernel']}] validation: {totals['proofs']:,} "
+            f"proofs, {totals['memo_hits']:,} memo hits, "
+            f"{totals['seconds']:.2f}s proving")
+
+
 def occupancy_lines(document: Json) -> list[str]:
     runtime = document["runtime"]
     lines = []
@@ -201,6 +215,7 @@ def render_report(documents: list[Json]) -> str:
         out.extend(move_table(document))
         out.append(f"[{kernel}] testcases per proposal (Fig. 5)")
         out.extend(testcase_histogram(document))
+        out.append(validation_line(document))
         out.append(f"[{kernel}] scheduler")
         out.extend(occupancy_lines(document))
     return "\n".join(out)

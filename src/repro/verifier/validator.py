@@ -6,12 +6,18 @@ identical side effects on the live outputs. The validator builds that
 query over the built-in SMT stack and decides it by bit-blasting; a SAT
 answer yields a counterexample that the search turns into a new
 testcase (Eq. 12's refinement loop).
+
+The search asks the same question many times over: chains of one
+campaign converge on the same rewrites, and a refuted candidate's
+siblings come back after refinement. :meth:`Validator.prove` answers a
+repeated query from a per-instance memo keyed by the printed query;
+:meth:`Validator.validate` is always a fresh proof.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SymbolicExecutionError
 from repro.smt.bitvec import BV, Context
@@ -60,6 +66,15 @@ class ValidationResult:
     seconds: float = 0.0
 
 
+#: Memoized proofs per validator; the memo starts over when full.
+_PROOF_MEMO_LIMIT = 1 << 12
+
+
+def _printed(prog: Program) -> tuple:
+    return (tuple(str(instr) for instr in prog.code),
+            tuple(sorted(prog.labels.items())))
+
+
 class Validator:
     """Decides equivalence of two programs under a :class:`LiveSpec`."""
 
@@ -67,6 +82,38 @@ class Validator:
                  max_conflicts: int = 2_000_000) -> None:
         self.uf_width = uf_width
         self.max_conflicts = max_conflicts
+        # outcomes only: a proof's Context and CNF die with the proof
+        self._proven: dict[tuple, ValidationResult] = {}
+        self._work = {"proofs": 0, "memo_hits": 0, "seconds": 0.0}
+
+    def prove(self, target: Program, rewrite: Program,
+              spec: LiveSpec) -> ValidationResult:
+        """:meth:`validate`, answered from memory for a repeated query.
+
+        The query is keyed by the printed slots and labels of both
+        programs and the spec; the instance's own ``uf_width`` and
+        ``max_conflicts`` cover the rest. A proof is a pure function
+        of that key, so a remembered outcome (the same object, not to
+        be mutated) is the one a fresh proof would return. Exceptions
+        propagate and are not remembered.
+        """
+        key = (_printed(target), _printed(rewrite), spec)
+        outcome = self._proven.get(key)
+        if outcome is not None:
+            self._work["memo_hits"] += 1
+            return outcome
+        outcome = self.validate(target, rewrite, spec)
+        self._work["proofs"] += 1
+        self._work["seconds"] += outcome.seconds
+        if len(self._proven) >= _PROOF_MEMO_LIMIT:
+            self._proven.clear()
+        self._proven[key] = outcome
+        return outcome
+
+    def counters(self) -> dict[str, int | float]:
+        """Proofs run and memo hits by :meth:`prove`, and the seconds
+        its proofs took, since this validator was made."""
+        return dict(self._work)
 
     def validate(self, target: Program, rewrite: Program,
                  spec: LiveSpec) -> ValidationResult:

@@ -1,9 +1,11 @@
 """Round-trip tests for the engine's JSON codecs."""
 
+import json
+
 import pytest
 
 from repro.engine import serialize
-from repro.errors import EngineError
+from repro.errors import AsmSyntaxError, EngineError
 from repro.search.config import SearchConfig
 from repro.search.mcmc import ChainResult
 from repro.suite.registry import benchmark
@@ -27,6 +29,28 @@ def test_program_roundtrip_preserves_padding_and_labels():
     assert back == prog
     assert len(back) == 8                     # padding survived
     assert back.labels == prog.labels
+
+
+def test_decoded_equal_slots_share_one_instruction():
+    prog = parse_program("""
+        movq rdi, rax
+        addq rsi, rax
+        movq rdi, rax
+    """).padded(6)
+    text = json.dumps(serialize.program_to_json(prog))
+    first = serialize.program_from_json(json.loads(text))
+    second = serialize.program_from_json(json.loads(text))
+    assert first.code[0] is first.code[2]
+    assert all(a is b for a, b in zip(first.code, second.code))
+    # the round trip is byte-identical
+    assert json.dumps(serialize.program_to_json(first)) == text
+
+
+def test_malformed_slot_raises_on_every_decode():
+    data = {"slots": ["movq rdi, rax", "movq bogus, rax"], "labels": {}}
+    for _ in range(2):
+        with pytest.raises(AsmSyntaxError):
+            serialize.program_from_json(data)
 
 
 def test_program_key_ignores_padding():

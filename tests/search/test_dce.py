@@ -116,3 +116,73 @@ def test_dce_preserves_live_out_behavior(seed):
         Emulator(state, Sandbox.recorder()).run(candidate)
         outs.append(state.get_reg("rax"))
     assert outs[0] == outs[1], f"DCE changed rax on:\n{prog}"
+
+
+#: Generator seeds whose programs exposed DCE killing flags that an
+#: instruction may leave untouched (undefined flags, zero shift counts).
+#: The printed programs are pinned so a generator change cannot quietly
+#: retire the regression.
+FLAG_KILL_SEEDS = {
+    405: ("addq rdx, r12", "cmovncl r10d, r12d", "cmovpew r9w, r15w",
+          "setc r15b", "adcl ecx, r8d", "pshufd 63, xmm10, xmm2",
+          "salb bl", "psubb xmm15, xmm13", "movzbl dl, r10d",
+          "cmovol r13d, eax"),
+    1619: ("subl r8d, edx", "bsrl r15d, ecx", "cmovpoq r13, r12",
+           "setnbe bl", "cmovpl r8d, ebp", "cmovael r15d, eax",
+           "cmovnbeq r15, rdi", "setg r14b", "movw 65535, r9w",
+           "incq r10"),
+    1665: ("cmovpel r8d, eax", "orl 63, r11d", "cmovnael esp, ebp",
+           "cmovaw ax, r9w", "andb 255, r11b", "lzcntq r14, rbp",
+           "cmovpeq rax, r9", "psllq 0, xmm1", "bsfq rdx, r8",
+           "cmovll r12d, eax"),
+    2595: ("cmovzl edx, edx", "cmovnll r15d, r8d", "cmpb al, r13b",
+           "paddb xmm5, xmm1", "movzwl dx, r13d", "addq rcx, rbx",
+           "movsbw r13b, di", "shrb 64, r11b", "seta al",
+           "bsrq r9, rbx"),
+}
+
+
+def _rax_after(prog, inputs):
+    state = MachineState()
+    for name, value in inputs.items():
+        state.set_reg(name, value)
+    state.mark_all_defined()
+    Emulator(state, Sandbox.recorder()).run(prog)
+    return state.get_reg("rax")
+
+
+def test_dce_keeps_writers_of_flags_left_untouched():
+    """The seeds above, replayed exactly as the property test draws
+    them: each program must survive DCE with rax unchanged."""
+    for seed, pinned in FLAG_KILL_SEEDS.items():
+        rng = random.Random(seed)
+        moves = MoveGenerator(parse_program("movq rdi, rax"),
+                              SearchConfig(ell=10), rng)
+        prog = moves.random_program(10)
+        assert tuple(str(instr) for instr in prog.code) == pinned
+        cleaned = eliminate_dead_code(prog, SPEC)
+        inputs = {reg.name: rng.getrandbits(64) for reg in GPR64}
+        assert _rax_after(prog, inputs) == _rax_after(cleaned, inputs), \
+            f"DCE changed rax for seed {seed}:\n{prog}"
+
+
+def test_rotate_does_not_kill_overflow_flag():
+    """Rotates write only CF, so the add's OF still reaches cmovo."""
+    prog = parse_program("""
+        movq rdi, rax
+        addq rsi, rbx
+        rolq 3, rcx
+        cmovoq rsi, rax
+    """)
+    assert eliminate_dead_code(prog, SPEC).compact().instruction_count == 4
+
+
+def test_zero_count_shift_kills_no_flags():
+    """``shrb 64, r11b`` masks its count to zero and writes no flag."""
+    prog = parse_program("""
+        cmpq rsi, rdi
+        shrb 64, r11b
+        cmovaq rsi, rax
+    """)
+    cleaned = eliminate_dead_code(prog, SPEC).compact()
+    assert str(cleaned.code[0]) == "cmpq rsi, rdi"

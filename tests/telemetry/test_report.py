@@ -88,6 +88,21 @@ def test_render_report_has_every_section(tmp_path):
     assert "opcode" in report and "swap" in report
 
 
+def test_render_report_sums_validator_work(tmp_path):
+    run_dir = tmp_path / "p01"
+    run_dir.mkdir()
+    log = MetricsLog(run_dir / "metrics.jsonl")
+    for job_id, proofs, hits in (("opt-c000-s000", 3, 1),
+                                 ("opt-c001-s000", 2, 4)):
+        chain = _sample_chain()
+        chain.runtime["validator"] = {"proofs": proofs,
+                                      "memo_hits": hits, "seconds": 0.5}
+        log.record_chain("p01", job_id, chain.to_json())
+    report = render_report([load_document(run_dir)])
+    assert "[p01] validation: 5 proofs, 5 memo hits, 1.00s proving" \
+        in report
+
+
 def test_render_report_degrades_without_traces(tmp_path):
     run_dir = tmp_path / "p01"
     run_dir.mkdir()
@@ -98,3 +113,4 @@ def test_render_report_degrades_without_traces(tmp_path):
     report = render_report([load_document(run_dir)])
     assert "(no proposals recorded)" in report
     assert "(no scheduler runtime recorded yet)" in report
+    assert "[p01] validation: 0 proofs, 0 memo hits" in report
