@@ -10,8 +10,8 @@ It pins the *reference* evaluator: the figure's premise is that
 per-testcase evaluation dominates proposal cost, which is true of the
 paper's emulator (and our interpreter) but much less so of the
 compiled fast path, whose per-testcase cost is small enough that
-skipping testcases barely moves proposals/second
-(see benchmarks/bench_inner_loop.py for that comparison).
+skipping testcases barely moves proposals/second (perfbench's
+search-p01 workload measures the compiled path).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ the cmov version is far cheaper than the literal translation.
 Run:  python examples/hackers_delight_p21.py
 """
 
-from repro import (SearchConfig, Stoke, actual_runtime,
+from repro import (SearchConfig, Session, Target, actual_runtime,
                    parse_program, program_latency)
 from repro.suite import benchmark
 
@@ -45,13 +45,13 @@ def main() -> None:
                           optimization_restarts=16, testcase_count=16)
     print("\nsearching from the O0 target (a couple of minutes; "
           "p21 is one of the larger kernels)...")
-    result = Stoke(target, bench.spec, bench.annotations,
-                   config=config).run()
-    if result.rewrite is not None and result.speedup > 1.0:
-        print(f"verified rewrite ({result.rewrite.instruction_count} "
+    result = Session(Target.from_suite("p21"), config=config).run()
+    rewrite = result.stoke.rewrite
+    if rewrite is not None and result.speedup > 1.0:
+        print(f"verified rewrite ({rewrite.instruction_count} "
               f"instructions, {result.rewrite_cycles} cycles, "
               f"{result.speedup:.2f}x over -O0):")
-        print(result.rewrite)
+        print(rewrite)
     else:
         print("search returned only the target at this budget — the "
               "paper spent 30 cluster-minutes here; raise "

@@ -16,17 +16,17 @@ Quickstart (the composable API; see :mod:`repro.api`)::
     result = session.run()
     print(result.rewrite_asm, result.speedup)
 
-The legacy facade remains and is bit-identical at defaults::
+Search knobs and engine options ride the same session; the engine's
+full result (programs, per-chain diagnostics) is on ``result.stoke``::
 
-    from repro import Stoke, SearchConfig
-    from repro.suite import benchmark
+    from repro import EngineOptions, SearchConfig, Session, Target
 
-    bench = benchmark("p01")
-    stoke = Stoke(bench.o0, bench.spec, bench.annotations,
-                  config=SearchConfig(ell=12, beta=1.0,
-                                      optimization_proposals=20_000))
-    result = stoke.run()
-    print(result.rewrite, result.speedup)
+    session = Session(Target.from_suite("p01"),
+                      config=SearchConfig(ell=12, beta=1.0,
+                                          optimization_proposals=20_000),
+                      engine=EngineOptions(jobs=4))
+    result = session.run()
+    print(result.stoke.rewrite, result.speedup)
 """
 
 from repro.api import Result, Session, Target
@@ -34,12 +34,13 @@ from repro.cost import (CostFunction, CostSpec, CostTerm, CostWeights,
                         Phase, TermContext, available_cost_terms,
                         make_cost_term, register_cost_term)
 from repro.emulator import Emulator, MachineState, Sandbox, run_program
-from repro.engine import BudgetSpec, Campaign, EngineOptions
+from repro.engine import (BudgetSpec, Campaign, CampaignResult,
+                          EngineOptions)
 from repro.perfsim import actual_runtime, simulate_cycles
 from repro.search import (MCMCSampler, MoveGenerator, SearchConfig,
-                          SearchStrategy, Stoke, StokeResult,
-                          StrategySpec, available_strategies,
-                          make_strategy, register_strategy)
+                          SearchStrategy, StrategySpec,
+                          available_strategies, make_strategy,
+                          register_strategy)
 from repro.testgen import Annotations, Testcase, TestcaseGenerator
 from repro.verifier import LiveSpec, ValidationResult, Validator
 from repro.x86 import (Instruction, Program, UNUSED, parse_instruction,
@@ -48,12 +49,13 @@ from repro.x86 import (Instruction, Program, UNUSED, parse_instruction,
 __version__ = "1.3.0"
 
 __all__ = [
-    "Annotations", "BudgetSpec", "Campaign", "CostFunction", "CostSpec", "CostTerm",
+    "Annotations", "BudgetSpec", "Campaign", "CampaignResult",
+    "CostFunction", "CostSpec", "CostTerm",
     "CostWeights", "Emulator", "EngineOptions",
     "Instruction", "LiveSpec", "MCMCSampler", "MachineState",
     "MoveGenerator", "Phase", "Program", "Result", "Sandbox",
     "SearchConfig", "SearchStrategy", "Session",
-    "Stoke", "StokeResult", "StrategySpec", "Target", "TermContext",
+    "StrategySpec", "Target", "TermContext",
     "Testcase", "TestcaseGenerator", "UNUSED",
     "ValidationResult", "Validator", "actual_runtime",
     "available_cost_terms", "available_strategies", "make_cost_term",

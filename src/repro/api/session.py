@@ -8,9 +8,9 @@ a :class:`~repro.search.config.SearchConfig`, and optionally a
 validator and engine options — then :meth:`Session.run` executes the
 campaign and returns a JSON-serializable :class:`Result`.
 
-The legacy ``Stoke`` facade is a thin shim over this class with every
-choice left at its default, so both surfaces produce bit-identical
-results for the same configuration.
+At every default a session adds nothing to the engine: its result
+wraps exactly what :meth:`Campaign.run` returns for the same
+configuration.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from typing import Any
 
 from repro.api.targets import Target
 from repro.cost.terms import CostSpec
-from repro.engine.campaign import Campaign, EngineOptions
+from repro.engine.campaign import (Campaign, CampaignResult,
+                                   EngineOptions)
 from repro.engine.checkpoint import CheckpointStore
 from repro.minimize.driver import Minimizer, MinimizeResult
 from repro.minimize.spec import MinimizeSpec
 from repro.perfsim.model import actual_runtime
 from repro.search.config import SearchConfig
-from repro.search.stoke import StokeResult
 from repro.search.strategies import StrategySpec
 from repro.telemetry import MetricsLog
 from repro.verifier.validator import Validator
@@ -38,9 +38,10 @@ class Result:
     """Everything a session run produced, in reportable form.
 
     Plain data throughout — ``to_json()`` emits a dict that survives
-    ``json.dumps`` unchanged. The full :class:`StokeResult` (programs,
-    per-chain diagnostics, refined testcases) stays available on
-    ``stoke`` for programmatic use.
+    ``json.dumps`` unchanged. The engine's full
+    :class:`~repro.engine.campaign.CampaignResult` (programs, per-chain
+    diagnostics, refined testcases) stays available on ``stoke`` for
+    programmatic use.
     """
 
     name: str
@@ -55,7 +56,7 @@ class Result:
     strategy: str
     proposals_per_second: float
     testcases_per_proposal: float
-    stoke: StokeResult = field(repr=False)
+    stoke: CampaignResult = field(repr=False)
     budget: str = "fixed"
     interleave: str = "none"
     chains_scheduled: int = 0
@@ -173,7 +174,7 @@ class Session:
         return self.wrap(campaign, campaign.run())
 
     def _minimize_outcome(self, campaign: Campaign,
-                          outcome: StokeResult) -> MinimizeResult | None:
+                          outcome: CampaignResult) -> MinimizeResult | None:
         """Shrink the campaign's verified winner, per the options.
 
         Returns None when minimization is off, the campaign found no
@@ -206,7 +207,7 @@ class Session:
             log.record_minimize(campaign.name, minimized.to_json())
         return minimized
 
-    def wrap(self, campaign: Campaign, outcome: StokeResult) -> Result:
+    def wrap(self, campaign: Campaign, outcome: CampaignResult) -> Result:
         """Report one campaign outcome as a :class:`Result`."""
         merged = outcome.merged_telemetry()
         telemetry = {

@@ -28,6 +28,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -190,11 +191,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_minimize(args: argparse.Namespace) -> int:
     """Shrink a rewrite against a suite kernel's target and live spec.
 
-    Minimization runs entirely in this process (``--jobs`` is accepted
-    for symmetry but cannot change the result), so the ``--json``
+    Minimization runs entirely in this process, so the ``--json``
     report — the :meth:`MinimizeResult.to_json` document minus its
-    ``runtime`` section, plus both programs — is bit-identical across
-    worker counts, seeds being equal.
+    ``runtime`` section, plus both programs — is bit-identical from run
+    to run, seeds being equal.
     """
     from repro.testgen.generator import TestcaseGenerator
     from repro.testgen.suite import append_unique
@@ -264,8 +264,7 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
     # must not cost N-1 kernels of finished work before exiting 2
     benches = [benchmark(name) for name in names]
     base_dir = Path(args.run_dir) if args.run_dir else None
-    budget = BudgetSpec.parse(args.budget)
-    progress = _progress_listener(args)
+    options = _engine_options(args)
 
     def engine_for(bench) -> EngineOptions:
         run_dir = None if base_dir is None else base_dir / bench.name
@@ -273,16 +272,8 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
         # journal yet; resume what exists, start the rest fresh
         resume = (args.resume and run_dir is not None and
                   CheckpointStore(run_dir).has_manifest())
-        return EngineOptions(jobs=args.jobs, run_dir=run_dir,
-                             resume=resume, budget=budget,
-                             interleave=args.interleave,
-                             minimize=args.minimize,
-                             harden=args.harden,
-                             job_timeout=args.job_timeout,
-                             retries=args.retries,
-                             workers=args.workers,
-                             faults=args.faults,
-                             progress=progress)
+        return dataclasses.replace(options, run_dir=run_dir,
+                                   resume=resume)
 
     if args.interleave:
         rows = evaluate_campaign(benches, seed=args.seed,
@@ -314,7 +305,7 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
     tail = (f", {quarantined} quarantined" if quarantined else "")
     _emit_line(
         f"campaign done: {improved}/{len(rows)} kernels improved "
-        f"(jobs={args.jobs}, budget={budget.spec_string()}, "
+        f"(jobs={args.jobs}, budget={options.budget.spec_string()}, "
         f"{'interleaved, ' if args.interleave else ''}"
         f"{format_rate(mean_pps)} proposals/s, "
         f"{mean_tpp:.2f} testcases/proposal, "
@@ -448,11 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "prefilter (0 = validator only, which "
                                "maximizes CEGIS counterexamples)")
     minimize.add_argument("--seed", type=int, default=0)
-    minimize.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted for interface symmetry; minimization runs "
-             "in-process and its output is bit-identical at any "
-             "worker count")
     minimize.add_argument(
         "--run-dir", default=None,
         help="run directory: merges its persistent counterexample "

@@ -43,8 +43,11 @@ from repro.engine.events import ProgressListener
 from repro.engine.serialize import Json
 from repro.errors import EngineError
 from repro.search.config import SearchConfig
-from repro.search.stoke import StokeResult
+from repro.search.phases import PhaseResult
+from repro.search.ranker import RankedRewrite
 from repro.search.strategies import StrategySpec
+from repro.telemetry.chain import ChainTelemetry
+from repro.telemetry.metrics import safe_rate
 from repro.testgen.annotations import Annotations
 from repro.testgen.generator import TestcaseGenerator
 from repro.testgen.testcase import Testcase
@@ -206,6 +209,97 @@ class EngineOptions:
         return transport_spec(self.workers)
 
 
+@dataclass
+class CampaignResult:
+    """Everything one kernel's campaign produced.
+
+    Attributes:
+        rewrite: the best verified rewrite (None if none was found —
+            the target itself always remains a valid answer).
+        verified: True when ``rewrite`` passed the sound validator.
+        target_cycles / rewrite_cycles: modeled runtimes for reporting.
+        synthesis / optimization: per-chain phase diagnostics.
+        testcases: the final (possibly counterexample-refined) suite.
+        seconds: wall-clock time of the whole run.
+        chains_scheduled: chains the engine actually ran (synthesis
+            plus optimization chain rounds).
+        chains_saved: configured chains an adaptive budget skipped
+            because the ranking had stabilized (0 under ``fixed``).
+        chains_quarantined: chain jobs abandoned after exhausting
+            their retry budget (0 on a healthy run); the campaign
+            degrades gracefully, aggregating over the survivors.
+        quarantined_jobs: the abandoned jobs' ids, sorted — always
+            reported, never silently dropped.
+    """
+
+    target: Program
+    rewrite: Program | None
+    verified: bool
+    target_cycles: int
+    rewrite_cycles: int
+    ranked: list[RankedRewrite] = field(default_factory=list)
+    synthesis: list[PhaseResult] = field(default_factory=list)
+    optimization: list[PhaseResult] = field(default_factory=list)
+    testcases: list[Testcase] = field(default_factory=list)
+    seconds: float = 0.0
+    synthesis_seconds: float = 0.0
+    optimization_seconds: float = 0.0
+    chains_scheduled: int = 0
+    chains_saved: int = 0
+    chains_quarantined: int = 0
+    quarantined_jobs: list[str] = field(default_factory=list)
+
+    @property
+    def speedup(self) -> float:
+        """Modeled target/rewrite cycle ratio (>1 means improvement)."""
+        if self.rewrite is None or self.rewrite_cycles == 0:
+            return 1.0
+        return self.target_cycles / self.rewrite_cycles
+
+    @property
+    def synthesis_succeeded(self) -> bool:
+        return any(phase.verified for phase in self.synthesis)
+
+    # -- inner-loop throughput (aggregated over every chain) -------------
+
+    def _chain_totals(self) -> tuple[int, int, float]:
+        proposals = testcases = 0
+        seconds = 0.0
+        for phase in self.synthesis + self.optimization:
+            if phase.chain is None:
+                continue
+            stats = phase.chain.stats
+            proposals += stats.proposals
+            testcases += stats.testcases_evaluated
+            seconds += stats.seconds
+        return proposals, testcases, seconds
+
+    @property
+    def proposals_per_second(self) -> float:
+        """Aggregate inner-loop throughput (chain time, not wall).
+
+        Finite even when every chain finished under the clock's
+        resolution (``safe_rate`` clamps the denominator).
+        """
+        proposals, _testcases, seconds = self._chain_totals()
+        return safe_rate(proposals, seconds)
+
+    @property
+    def testcases_per_proposal(self) -> float:
+        """Mean testcases evaluated per proposal (Figure 5's y-axis)."""
+        proposals, testcases, _seconds = self._chain_totals()
+        return testcases / proposals if proposals else 0.0
+
+    def merged_telemetry(self) -> ChainTelemetry:
+        """Every chain's search telemetry absorbed into one aggregate
+        (counters only: traces are per chain)."""
+        merged = ChainTelemetry()
+        for phase in self.synthesis + self.optimization:
+            if phase.chain is not None:
+                merged.absorb(phase.chain.stats)
+        return merged
+
+
 class Campaign:
     """One orchestrated, resumable search campaign."""
 
@@ -232,7 +326,7 @@ class Campaign:
         assert isinstance(spec, BudgetSpec)    # normalized in options
         return spec
 
-    def run(self) -> StokeResult:
+    def run(self) -> CampaignResult:
         """Execute (or finish) the campaign and aggregate the result.
 
         A single campaign is the one-kernel case of the cross-kernel

@@ -85,7 +85,7 @@ class JobResult:
     new_testcases: list[Testcase] = field(default_factory=list)
 
     def phase_result(self) -> PhaseResult:
-        """The serial pipeline's view of this job, for StokeResult."""
+        """This job's view as one phase of a :class:`CampaignResult`."""
         return PhaseResult(verified=list(self.verified),
                            candidates=list(self.candidates),
                            chain=self.chain,

@@ -41,6 +41,7 @@ from collections import deque
 from typing import Callable, TYPE_CHECKING
 
 from repro.engine import aggregator, scheduler
+from repro.engine.campaign import CampaignResult
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.events import (CAMPAIGN_FINISHED, CAMPAIGN_STARTED,
                                  CHAIN_COMPLETED, EventLog,
@@ -58,7 +59,6 @@ from repro.errors import (CorruptPayloadError, EngineError,
                           JobTimeoutError, StaleGrantError,
                           WorkerCrashError)
 from repro.perfsim.model import actual_runtime
-from repro.search.stoke import StokeResult
 from repro.telemetry import ChainTelemetry, MetricsLog
 from repro.telemetry.metrics import Series
 from repro.x86.program import Program
@@ -163,7 +163,7 @@ class KernelSchedule:
         self._observed_chains = 0
         self._charged_validations = 0
         self._in_flight: set[str] = set()
-        self._result: StokeResult | None = None
+        self._result: CampaignResult | None = None
         self._start_time = 0.0
         self._synth_seconds = 0.0
         self._opt_start_time = 0.0
@@ -192,7 +192,7 @@ class KernelSchedule:
         return self._result is not None
 
     @property
-    def result(self) -> StokeResult:
+    def result(self) -> CampaignResult:
         assert self._result is not None, "campaign still running"
         return self._result
 
@@ -256,7 +256,7 @@ class KernelSchedule:
         The campaign degrades gracefully: the job leaves the in-flight
         set (so the schedule can progress), contributes an empty
         result to the aggregate, and is reported — never silently
-        dropped — in ``StokeResult.quarantined_jobs``.
+        dropped — in ``CampaignResult.quarantined_jobs``.
         """
         self._note_recovery(RECOVERY_QUARANTINED, JOB_QUARANTINED,
                             job, attempt, reason)
@@ -536,7 +536,7 @@ class KernelSchedule:
                 rewrite = best.program.compact()
                 rewrite_cycles = best.cycles
         now = self.clock()
-        result = StokeResult(
+        result = CampaignResult(
             target=campaign.target,
             rewrite=rewrite,
             verified=rewrite is not None,
@@ -629,7 +629,7 @@ def run_campaigns(campaigns: list[Campaign], *,
                   clock: Clock = time.perf_counter,
                   executor_factory: Callable[
                       [dict[str, CampaignContext]], object] | None = None) \
-        -> list[StokeResult]:
+        -> list[CampaignResult]:
     """Run any number of campaigns over one shared worker pool.
 
     The driver grants waves in fair-share rotation (each pass visits

@@ -1,4 +1,4 @@
-"""Stochastic search: moves, MCMC, phases, ranking, the STOKE pipeline."""
+"""Stochastic search: moves, MCMC, phases, ranking, strategies."""
 
 from repro.search.config import SearchConfig
 from repro.search.mcmc import ChainResult, MCMCSampler
@@ -7,7 +7,6 @@ from repro.search.moves import (DEFAULT_CONSTANT_BAG, EXCLUDED_FAMILIES,
 from repro.search.phases import (OptimizationPhase, PhaseResult,
                                  SynthesisPhase)
 from repro.search.ranker import RankedRewrite, rerank
-from repro.search.stoke import Stoke, StokeResult
 from repro.search.strategies import (AnnealingStrategy, GreedyStrategy,
                                      MCMCStrategy, SearchStrategy,
                                      StrategySpec, available_strategies,
@@ -17,6 +16,6 @@ __all__ = ["AnnealingStrategy", "ChainResult", "DEFAULT_CONSTANT_BAG",
            "EXCLUDED_FAMILIES", "GreedyStrategy", "MCMCSampler",
            "MCMCStrategy", "MoveGenerator", "MoveKind",
            "OptimizationPhase", "PhaseResult", "RankedRewrite",
-           "SearchConfig", "SearchStrategy", "Stoke", "StokeResult",
-           "StrategySpec", "SynthesisPhase", "available_strategies",
-           "make_strategy", "register_strategy", "rerank"]
+           "SearchConfig", "SearchStrategy", "StrategySpec",
+           "SynthesisPhase", "available_strategies", "make_strategy",
+           "register_strategy", "rerank"]

@@ -11,10 +11,9 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.engine.campaign import EngineOptions
+from repro.engine.campaign import CampaignResult, EngineOptions
 from repro.perfsim.model import actual_runtime
 from repro.search.config import SearchConfig
-from repro.search.stoke import StokeResult
 from repro.suite.registry import Benchmark
 from repro.verifier.validator import Validator
 
@@ -124,18 +123,19 @@ def run_stoke(bench: Benchmark, *, seed: int = 0,
               synthesis: bool = False,
               chains: int = 1,
               engine: EngineOptions | None = None,
-              evaluator: str | None = None) -> StokeResult:
+              evaluator: str | None = None) -> CampaignResult:
     """Run the full pipeline on one benchmark's O0 target.
 
-    Runs through :class:`Session` (the same path the ``Stoke`` shim
-    takes) so progress events carry the kernel's name.
+    Runs through :class:`Session`, naming the target after the kernel
+    so progress events carry its name.
     """
     return _session(bench, seed=seed, synthesis=synthesis,
                     chains=chains, engine=engine,
                     evaluator=evaluator).run().stoke
 
 
-def _outcome(bench: Benchmark, result: StokeResult) -> BenchmarkOutcome:
+def _outcome(bench: Benchmark,
+             result: CampaignResult) -> BenchmarkOutcome:
     """The Figure 10 column for one kernel's campaign result."""
     o0_cycles = actual_runtime(bench.o0.compact())
     gcc_cycles = actual_runtime(bench.gcc.compact())

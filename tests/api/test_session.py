@@ -1,7 +1,7 @@
-"""Session facade: legacy equivalence, JSON results, determinism.
+"""Session facade: engine equivalence, JSON results, determinism.
 
-The two acceptance bars for the API redesign: the ``Stoke`` shim is
-bit-identical to ``Session`` at defaults, and ``jobs=2`` equals
+The two acceptance bars for the API: ``Session`` adds nothing to the
+engine's :class:`Campaign` at defaults, and ``jobs=2`` equals
 ``jobs=1`` under a *non-default* cost/strategy spec (the spec must
 survive the trip through worker-process serialization).
 """
@@ -11,10 +11,10 @@ import json
 
 from repro.api.session import Session
 from repro.api.targets import Target
-from repro.engine.campaign import EngineOptions
+from repro.engine.campaign import Campaign, EngineOptions
 from repro.search.config import SearchConfig
-from repro.search.stoke import Stoke
 from repro.suite.registry import benchmark
+from repro.verifier.validator import Validator
 
 CONFIG = SearchConfig(ell=12, beta=1.0, seed=5,
                       optimization_proposals=2000,
@@ -29,14 +29,16 @@ def _ranking_key(stoke_result):
             for r in stoke_result.ranked]
 
 
-def test_session_matches_legacy_stoke_at_defaults():
+def test_session_matches_campaign_at_defaults():
+    """Session adds nothing at defaults: its result wraps what the
+    bare engine campaign returns for the same configuration."""
     bench = benchmark("p01")
-    legacy = Stoke(bench.o0, bench.spec, bench.annotations,
-                   config=CONFIG).run()
+    engine = Campaign(bench.o0, bench.spec, bench.annotations,
+                      config=CONFIG, validator=Validator()).run()
     result = Session(Target.from_suite("p01"), config=CONFIG).run()
-    assert _ranking_key(result.stoke) == _ranking_key(legacy)
-    assert str(result.stoke.rewrite) == str(legacy.rewrite)
-    assert result.rewrite_cycles == legacy.rewrite_cycles
+    assert _ranking_key(result.stoke) == _ranking_key(engine)
+    assert str(result.stoke.rewrite) == str(engine.rewrite)
+    assert result.rewrite_cycles == engine.rewrite_cycles
     assert result.cost == "correctness,latency"
     assert result.strategy == "mcmc"
 

@@ -9,7 +9,9 @@ programs drawn from the proposal distribution with a fixed seed, and
 at the cost-function level where the pooled-state reuse could smuggle
 state between candidates. Instructions that share a compiled shape are
 checked one by one on a warm shape cache, since each runs code that
-was compiled for a sibling.
+was compiled for a sibling. One test also holds the fast path to its
+reason to exist: a p01 chain makes the same decisions under both
+evaluators, and the compiled one makes them no slower.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.emulator.sandbox import Sandbox
 from repro.emulator.state import MachineState
 from repro.errors import StepLimitExceeded
 from repro.search.config import SearchConfig
+from repro.search.mcmc import MCMCSampler
 from repro.search.moves import MoveGenerator
 from repro.suite.registry import all_benchmarks, benchmark
 from repro.testgen.generator import TestcaseGenerator
@@ -119,6 +122,39 @@ def test_pooled_state_reuse_matches_fresh_states():
         reference = reference_fn.evaluate(candidate)
         assert compiled.value == reference.value, str(candidate)
         assert compiled.eq_term == reference.eq_term
+
+
+def _p01_chain(evaluator, proposals=1_000):
+    """One synthesis chain on p01 over the paper's 32 testcases."""
+    bench = benchmark("p01")
+    testcases = _testcases(bench, count=32, seed=0)
+    cost = CostFunction(testcases, bench.o0, phase=Phase.SYNTHESIS,
+                        evaluator=evaluator)
+    config = SearchConfig(ell=10, beta=0.2)
+    rng = random.Random(11)
+    moves = MoveGenerator(bench.o0, config, rng)
+    sampler = MCMCSampler(cost, moves, moves.random_program(),
+                          beta=config.beta, rng=rng)
+    return sampler.run(proposals)
+
+
+def test_compiled_chain_outpaces_reference():
+    """The compiled evaluator's reason to exist: the same chain, with
+    the same decisions, at no fewer proposals per second.
+
+    One unmeasured compiled pass pays every cold tier-up first (the
+    measured pass proposes the same instruction stream), so the floor
+    compares steady states.
+    """
+    reference = _p01_chain("reference")
+    _p01_chain("compiled")
+    compiled = _p01_chain("compiled")
+    assert (compiled.best_cost, compiled.current_cost,
+            compiled.stats.accepted) == \
+        (reference.best_cost, reference.current_cost,
+         reference.stats.accepted)
+    assert compiled.stats.proposals_per_second >= \
+        reference.stats.proposals_per_second
 
 
 def test_jump_programs_take_both_branches():

@@ -4,8 +4,8 @@ import json
 
 import repro.cli as cli
 from repro.api.session import Result
+from repro.engine.campaign import CampaignResult
 from repro.engine.checkpoint import MANIFEST_VERSION
-from repro.search.stoke import StokeResult
 from repro.suite.runner import BenchmarkOutcome
 from repro.x86.parser import parse_program
 
@@ -43,9 +43,9 @@ def test_optimize_reports_target_and_exits_zero_when_unimproved(
             pass
 
         def run(self):
-            stoke = StokeResult(target=target, rewrite=None,
-                                verified=False, target_cycles=123,
-                                rewrite_cycles=123)
+            stoke = CampaignResult(target=target, rewrite=None,
+                                   verified=False, target_cycles=123,
+                                   rewrite_cycles=123)
             return Result(name="p01", verified=False,
                           target_asm=str(target), rewrite_asm=None,
                           target_cycles=123, rewrite_cycles=123,

@@ -1,9 +1,10 @@
 """End-to-end integration tests of the Figure 9 pipeline."""
 
 
+from repro.api.session import Session
+from repro.api.targets import Target
 from repro.search.config import SearchConfig
 from repro.search.ranker import rerank
-from repro.search.stoke import Stoke
 from repro.suite.registry import benchmark
 from repro.verifier.validator import Validator
 from repro.x86.latency import program_latency
@@ -22,9 +23,8 @@ def _small_config(**overrides):
 
 def test_stoke_improves_p01_and_verifies():
     bench = benchmark("p01")
-    stoke = Stoke(bench.o0, bench.spec, bench.annotations,
-                  config=_small_config())
-    result = stoke.run()
+    result = Session(Target.from_suite("p01"),
+                     config=_small_config()).run().stoke
     assert result.rewrite is not None
     assert result.verified
     assert result.speedup > 1.0
@@ -35,9 +35,8 @@ def test_stoke_improves_p01_and_verifies():
 
 
 def test_stoke_result_diagnostics():
-    bench = benchmark("p03")
-    result = Stoke(bench.o0, bench.spec, bench.annotations,
-                   config=_small_config(seed=8)).run()
+    result = Session(Target.from_suite("p03"),
+                     config=_small_config(seed=8)).run().stoke
     assert result.optimization
     assert result.testcases
     assert result.seconds > 0
