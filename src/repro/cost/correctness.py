@@ -26,10 +26,22 @@ scan returns exactly the Eq. 15 value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
+from typing import Sequence
 
+from repro.emulator.compile import LANE_STRIDE
+from repro.emulator.lanes import LaneSuite
 from repro.emulator.state import MachineState
 from repro.testgen.testcase import Testcase
 from repro.x86.registers import lookup, registers_of_width
+
+
+_LANE_BITS = (1 << LANE_STRIDE) - 1
+
+#: Larger than any distance: the nearest alternative when none is left.
+_FAR = 1 << 62
+
+_UNWRITTEN_CACHE_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -138,3 +150,125 @@ def testcase_cost(state: MachineState, testcase: Testcase,
     else:
         distance = strict_distance(state, testcase)
     return distance + err_penalty(state, weights)
+
+
+class LaneScorer:
+    """:func:`testcase_cost` for every lane of a packed run at once.
+
+    Built once per packed suite. When every testcase checks the same
+    live outputs (the usual case: one live spec), each output's
+    Hamming distance is one XOR over all lanes followed by a per-lane
+    bit count. The improved metric is the lanewise minimum of that
+    distance and each alternative location's distance plus ``wm``
+    (the pruned scan of :func:`improved_distance` returns exactly that
+    minimum). Alternative registers the candidate never wrote still
+    hold the very objects the packed suite started with, so their
+    minimum comes from a table sorted once per suite, cached by which
+    alternatives were written; only written ones are counted afresh.
+    ``uniform`` is False for a suite whose testcases check different
+    outputs; such a suite must be scored lane by lane instead.
+    """
+
+    def __init__(self, lanes: LaneSuite, testcases: Sequence[Testcase],
+                 weights: CostWeights, *, improved: bool = True) -> None:
+        self.lanes = lanes
+        self.weights = weights
+        self.improved = improved
+        lay = lanes.layout
+        self._shifts = lay.shifts
+        first = testcases[0]
+        reg_names = [name for name, _ in first.expected_regs]
+        mem_addrs = [addr for addr, _ in first.expected_memory]
+        self.uniform = all(
+            [name for name, _ in testcase.expected_regs] == reg_names and
+            [addr for addr, _ in testcase.expected_memory] == mem_addrs
+            for testcase in testcases)
+        if not self.uniform:
+            return
+        wm = weights.wm
+        proto = lanes.proto.regs
+        self._regs = []
+        for k, (full, reg_mask, _expected, others) in \
+                enumerate(_reg_outputs(first)):
+            expected = [testcase.expected_regs[k][1]
+                        for testcase in testcases]
+            # per lane, the alternatives' initial distances, nearest first
+            nearest = [[(distance, other) for distance, _, other in sorted(
+                ((expected[i] ^ (lay.lane(proto[other], i) & other_mask))
+                 .bit_count() + wm, position, other)
+                for position, (other, other_mask) in enumerate(others))]
+                for i in range(lay.lanes)]
+            self._regs.append((full, reg_mask.bit_length(),
+                               lay.replicate(reg_mask), lay.pack(expected),
+                               tuple((other, lay.replicate(other_mask))
+                                     for other, other_mask in others),
+                               nearest, {}))
+        self._mems = []
+        for k, (addr, _expected, other_addrs) in \
+                enumerate(_mem_outputs(first)):
+            expected = [testcase.expected_memory[k][1]
+                        for testcase in testcases]
+            self._mems.append((addr, lay.pack(expected), other_addrs))
+
+    def _counts(self, packed: int, offset: int = 0) -> list[int]:
+        """The bit count of every lane of ``packed``, plus ``offset``."""
+        return [(packed >> shift & _LANE_BITS).bit_count() + offset
+                for shift in self._shifts]
+
+    @staticmethod
+    def _unwritten(nearest: list, by_written: dict,
+                   written: tuple[str, ...]) -> list[int]:
+        """Per lane, the nearest alternative register not written."""
+        found = by_written.get(written)
+        if found is None:
+            if len(by_written) >= _UNWRITTEN_CACHE_LIMIT:
+                by_written.clear()
+            found = by_written[written] = [
+                next((distance for distance, other in lane
+                      if other not in written), _FAR)
+                for lane in nearest]
+        return found
+
+    def costs(self, state: MachineState) -> list[int]:
+        """Every lane's per-testcase term after a run from the (uniform)
+        suite."""
+        wm = self.weights.wm
+        improved = self.improved
+        totals = [err_penalty(state, self.weights)] * len(self._shifts)
+        regs = state.regs
+        proto = self.lanes.proto.regs
+        one = self.lanes.layout.one
+        for full, width, reg_mask, packed, others, nearest, by_written in \
+                self._regs:
+            distances = self._counts((regs[full] & reg_mask) ^ packed)
+            if improved and max(distances) > wm:
+                written = tuple(other for other, _ in others
+                                if regs[other] is not proto[other])
+                distances = list(map(min, distances, self._unwritten(
+                    nearest, by_written, written)))
+                for other, other_mask in others:
+                    if other not in written:
+                        continue
+                    worst = max(distances)
+                    if worst <= wm:
+                        break
+                    diff = (regs[other] & other_mask) ^ packed
+                    # within one bit of wm, only an exact match (a zero
+                    # lane, which carries nothing past ``width`` when the
+                    # mask is added) can still lower a lane
+                    if worst == wm + 1 and \
+                            (diff + other_mask) >> width & one == one:
+                        continue
+                    distances = list(map(min, distances,
+                                         self._counts(diff, wm)))
+            totals = list(map(add, totals, distances))
+        memory = state.memory
+        for addr, packed, other_addrs in self._mems:
+            distances = self._counts(memory.get(addr, 0) ^ packed)
+            if improved and max(distances) > wm:
+                columns = [distances]
+                columns += [self._counts(memory.get(other, 0) ^ packed, wm)
+                            for other in other_addrs]
+                distances = list(map(min, *columns))
+            totals = list(map(add, totals, distances))
+        return totals

@@ -16,15 +16,25 @@ cost exceeds the precomputed acceptance bound (Eq. 14). Two refinements
 sharpen that loop:
 
 * candidates run on a selectable *evaluator* — ``compiled`` (default)
-  lowers the rewrite once via :mod:`repro.emulator.compile` and reuses
-  a pooled machine state across testcases; ``reference`` is the
-  original per-testcase interpreter. Both produce bit-identical states
-  and therefore identical costs;
+  lowers the rewrite once via :mod:`repro.emulator.compile` and runs
+  it over the whole suite at once, one testcase per lane of a packed
+  state (:mod:`repro.emulator.lanes`); ``reference`` is the original
+  per-testcase interpreter. Both produce bit-identical states and
+  therefore identical costs;
 * testcases are visited most-discriminating-first, ordered by a
   deterministic per-testcase failure counter, so the Eq. 14 bound is
   usually exceeded within the first few testcases. Accept/reject
   decisions and final costs are unchanged (the total is a sum); only
   ``testcases_evaluated`` shifts.
+
+A lane run scores every testcase, and the evaluator then replays those
+per-testcase costs in visit order, so the Eq. 14 cut,
+``testcases_evaluated`` and the failure counters come out exactly as
+if the testcases had run one by one. A candidate the lanes cannot
+carry (a step that still interprets, a jump, lanes that disagree on a
+memory access) and any suite :meth:`LaneSuite.pack` refuses run one
+testcase at a time from fresh initial states, on the same compiled
+steps.
 """
 
 from __future__ import annotations
@@ -37,8 +47,9 @@ from typing import Sequence
 from repro.cost.correctness import CostWeights
 from repro.cost.terms import (CostTerm, DEFAULT_COST_TERMS, CostSpec,
                               DEFAULT_EVALUATOR, EVALUATORS, TermContext)
-from repro.emulator.compile import compile_program
+from repro.emulator.compile import COUNTERS, compile_program
 from repro.emulator.cpu import Emulator
+from repro.emulator.lanes import LaneSuite
 from repro.emulator.state import MachineState
 from repro.errors import SearchError
 from repro.testgen.suite import input_key
@@ -111,12 +122,11 @@ class CostFunction:
                 f"unknown evaluator {evaluator!r} "
                 f"(available: {', '.join(sorted(EVALUATORS))})")
         self.evaluator = evaluator
-        # one pooled state per testcase, created lazily; _pool_dirty
-        # remembers the write-set of the last program run on each pool
-        # so the next reset only undoes what that run could have touched
-        self._pools: list[MachineState | None] = \
-            [None] * len(self.testcases)
-        self._pool_dirty: list[tuple | None] = [None] * len(self.testcases)
+        # the suite packed into lanes, built on first use and again
+        # after a counterexample is appended; None when lanes cannot
+        # carry it
+        self._lanes: LaneSuite | None = None
+        self._lanes_stale = True
         self._fail_counts = [0] * len(self.testcases)
         self._input_keys = {input_key(tc) for tc in self.testcases}
         if terms is None:
@@ -152,8 +162,7 @@ class CostFunction:
             return False
         self._input_keys.add(input_key(testcase))
         self.testcases.append(testcase)
-        self._pools.append(None)
-        self._pool_dirty.append(None)
+        self._lanes_stale = True
         self._fail_counts.append(0)
         return True
 
@@ -166,9 +175,17 @@ class CostFunction:
         is reproducible across runs, worker counts and resumes.
         """
         counts = self._fail_counts
-        order = list(range(len(counts)))
-        order.sort(key=lambda i: -counts[i])      # stable: ties by index
-        return order
+        # reverse=True keeps the sort stable: ties stay in index order
+        return sorted(range(len(counts)), key=counts.__getitem__,
+                      reverse=True)
+
+    def _lane_suite(self) -> LaneSuite | None:
+        if self._lanes_stale:
+            self._lanes = LaneSuite.pack(
+                [testcase.initial_state() for testcase in self.testcases],
+                [testcase.valid_addresses for testcase in self.testcases])
+            self._lanes_stale = False
+        return self._lanes
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -184,52 +201,90 @@ class CostFunction:
             for weight, term in self._static_terms:
                 value = term.program_cost(rewrite)
                 total += value if weight == 1 else int(value * weight)
+        if bound is not None and total > bound:
+            return CostResult(value=None, eq_term=0, testcases_evaluated=0)
         compiled = None
+        lane_costs = None
         if self.evaluator == "compiled":
-            compiled = compile_program(rewrite)
+            lanes = self._lane_suite()
+            compiled = compile_program(
+                rewrite, lanes.layout if lanes is not None else None)
+            if lanes is not None:
+                lane_costs = self._lane_costs(rewrite, compiled, lanes)
+            if lane_costs is None:
+                COUNTERS.lane_fallbacks += 1
+            else:
+                COUNTERS.lane_runs += 1
+        fail_counts = self._fail_counts
+        limit = math.inf if bound is None else bound
+        if lane_costs is not None:
+            eq_term = sum(lane_costs)
+            if total + eq_term <= limit and min(lane_costs) >= 0:
+                # no running sum crosses the bound, so every testcase
+                # counts and the visit order does not matter
+                for index, case_total in enumerate(lane_costs):
+                    if case_total:
+                        fail_counts[index] += 1
+                return CostResult(value=total + eq_term, eq_term=eq_term,
+                                  testcases_evaluated=len(lane_costs))
         evaluated = 0
         eq_term = 0
-        fail_counts = self._fail_counts
         for index in self._visit_order():
-            if bound is not None and total > bound:
+            if total > limit:
                 return CostResult(value=None, eq_term=eq_term,
                                   testcases_evaluated=evaluated)
-            testcase = self.testcases[index]
-            if compiled is not None:
-                state = self._pools[index]
-                if state is None:
-                    state = testcase.initial_state()
-                    self._pools[index] = state
-                else:
-                    dirty = self._pool_dirty[index]
-                    assert dirty is not None
-                    testcase.undo_writes(state, *dirty)
-                # recorded before running: a partial run (fault, step
-                # limit) dirties a subset of the static write-set
-                self._pool_dirty[index] = (compiled.regs_written,
-                                           compiled.flags_written,
-                                           compiled.writes_memory)
-                compiled.run(state, testcase.sandbox(),
-                             max_steps=self.max_steps)
+            if lane_costs is not None:
+                case_total = lane_costs[index]
             else:
+                testcase = self.testcases[index]
                 state = testcase.initial_state()
-                emulator = Emulator(state, testcase.sandbox())
-                emulator.run(rewrite, max_steps=self.max_steps)
-            case_total = 0
-            for weight, term in self._testcase_terms:
-                value = term.testcase_cost(rewrite, state, testcase)
-                # ceil, not truncate: a failing testcase (value > 0)
-                # must never weight down to 0, or eq_term == 0 would
-                # stop meaning "passed every testcase"
-                case_total += value if weight == 1 \
-                    else math.ceil(value * weight)
+                if compiled is not None:
+                    compiled.run(state, testcase.sandbox(),
+                                 max_steps=self.max_steps)
+                else:
+                    Emulator(state, testcase.sandbox()).run(
+                        rewrite, max_steps=self.max_steps)
+                case_total = self._case_cost(rewrite, state, testcase)
             if case_total:
                 fail_counts[index] += 1
-            total += case_total
-            eq_term += case_total
+                total += case_total
+                eq_term += case_total
             evaluated += 1
         if bound is not None and total > bound:
             return CostResult(value=None, eq_term=eq_term,
                               testcases_evaluated=evaluated)
         return CostResult(value=total, eq_term=eq_term,
                           testcases_evaluated=evaluated)
+
+    def _case_cost(self, rewrite: Program, state: MachineState,
+                   testcase: Testcase) -> int:
+        """The weighted per-testcase terms of one finished run."""
+        case_total = 0
+        for weight, term in self._testcase_terms:
+            value = term.testcase_cost(rewrite, state, testcase)
+            # ceil, not truncate: a failing testcase (value > 0) must
+            # never weight down to 0, or eq_term == 0 would stop
+            # meaning "passed every testcase"
+            case_total += value if weight == 1 \
+                else math.ceil(value * weight)
+        return case_total
+
+    def _lane_costs(self, rewrite: Program, compiled, lanes: LaneSuite) \
+            -> list[int] | None:
+        """Every testcase's weighted cost from one lane run, or None
+        when the lanes cannot carry this candidate."""
+        steps = compiled.lane_steps(lanes.layout)
+        if steps is None or compiled.slots > self.max_steps:
+            return None
+        state = lanes.run(steps)
+        if state is None:
+            return None
+        costs: list[int] | None = None
+        for weight, term in self._testcase_terms:
+            values = term.lane_costs(rewrite, state, lanes,
+                                     self.testcases)
+            if weight != 1:
+                values = [math.ceil(value * weight) for value in values]
+            costs = values if costs is None else \
+                [a + b for a, b in zip(costs, values)]
+        return costs

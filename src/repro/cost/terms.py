@@ -28,15 +28,16 @@ the workers also import.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Sequence, TYPE_CHECKING
 
-from repro.cost.correctness import CostWeights, testcase_cost
+from repro.cost.correctness import CostWeights, LaneScorer, testcase_cost
 from repro.cost.performance import perf_term
 from repro.errors import RegistryError, unknown_name_message
 from repro.x86.latency import program_latency
 from repro.x86.program import Program
 
 if TYPE_CHECKING:
+    from repro.emulator.lanes import LaneSuite
     from repro.emulator.state import MachineState
     from repro.testgen.testcase import Testcase
 
@@ -84,6 +85,19 @@ class CostTerm:
         """Per-testcase contribution, read off the final machine state."""
         return 0
 
+    def lane_costs(self, rewrite: Program, state: MachineState,
+                   lanes: LaneSuite,
+                   testcases: Sequence[Testcase]) -> list[int]:
+        """:meth:`testcase_cost` of every testcase after one lane run.
+
+        ``state`` holds testcase ``i`` in lane ``i``. The default reads
+        each lane out as a plain machine state; a term can score the
+        packed state directly.
+        """
+        return [self.testcase_cost(rewrite, lanes.lane(state, index),
+                                   testcase)
+                for index, testcase in enumerate(testcases)]
+
 
 class CorrectnessTerm(CostTerm):
     """eq'(R; T, t): Hamming distance plus sandbox-event penalties."""
@@ -94,11 +108,23 @@ class CorrectnessTerm(CostTerm):
     def bind(self, context: TermContext) -> None:
         self.weights = context.weights
         self.improved = context.improved
+        self._scorer: LaneScorer | None = None
 
     def testcase_cost(self, rewrite: Program, state: MachineState,
                       testcase: Testcase) -> int:
         return testcase_cost(state, testcase, self.weights,
                              improved=self.improved)
+
+    def lane_costs(self, rewrite: Program, state: MachineState,
+                   lanes: LaneSuite,
+                   testcases: Sequence[Testcase]) -> list[int]:
+        scorer = self._scorer
+        if scorer is None or scorer.lanes is not lanes:
+            scorer = self._scorer = LaneScorer(
+                lanes, testcases, self.weights, improved=self.improved)
+        if not scorer.uniform:
+            return super().lane_costs(rewrite, state, lanes, testcases)
+        return scorer.costs(state)
 
 
 class LatencyTerm(CostTerm):

@@ -4,54 +4,80 @@ The reference :class:`~repro.emulator.cpu.Emulator` re-dispatches
 ``execute()`` per instruction per testcase: every proposal pays for
 operand classification, register-view resolution, width masking and
 algebra indirection once *per testcase*. This module hoists all of that
-to once *per candidate*: each instruction is lowered to one specialized
-step function (operand accessors, masks and jump targets pre-resolved
-against the concrete :data:`~repro.x86.algebra.INT_ALGEBRA`; ``UNUSED``
-slots dropped outright) and the program becomes a tight trampoline over
-the step list, evaluated against a pooled, reset-in-place
-:class:`~repro.emulator.state.MachineState`.
+to once *per candidate*, and then runs the candidate over every
+testcase at once.
+
+**Lane form.** Each instruction is lowered to one specialized step
+function written for a *lane layout* (:class:`Layout`): every register,
+flag and memory byte is one Python int whose fixed-stride lanes
+(:data:`LANE_STRIDE` bits each) carry the testcases' values side by
+side, so one ``&`` or ``+`` serves every testcase (SWAR, "SIMD within
+a register"). The emitted code keeps lanes isolated: it masks before a
+left shift, borrows through a guard bit above the operand width for
+``sub``, ``neg`` and ``ult``, detects zero for ``eq`` by adding the
+lane mask, and fills signs by multiplying 0/1 lanes by a scalar
+constant. ``mul`` (:func:`_mul_each`), division and runtime shift
+counts go lane by lane. Register and flag definedness and the Eq. 11
+event counters stay scalar: compiled steps set them identically in
+every lane. A memory access reads the address of lane 0 and raises
+:class:`LaneMiss` unless every lane agrees (see
+:mod:`repro.emulator.lanes`).
+
+Lane masks and replicated constants are parameters of the step, bound
+per layout, so the code never depends on the layout. Bound to the
+one-lane layout (:data:`ONE_LANE`), the same code is plain
+:class:`~repro.emulator.state.MachineState` execution: that is how
+:meth:`CompiledProgram.run` executes one testcase, and there is no
+second, scalar emitter.
 
 Crucially, lowering is driven by the *same* ``execute()`` definition the
 reference emulator and the symbolic validator interpret: compilation
 runs the shared semantics once against a recording
 :class:`~repro.x86.semantics.Machine` whose algebra emits straight-line
 Python source instead of computing values; that source is compiled
-once per shape (below) and cached. Constant subexpressions fold at compile
-time; reads, writes and sandbox events are emitted in exactly the order
-the reference performs them, so final states — including the Eq. 11
-event counters — are bit-identical (``tests/emulator/test_compile.py``
-checks this differentially over the whole suite).
+once per shape (below) and cached. Constant subexpressions fold at
+compile time; reads, writes and sandbox events are emitted in exactly
+the order the reference performs them, so final states — including the
+Eq. 11 event counters — are bit-identical in every lane
+(``tests/emulator/test_compile.py`` and ``test_lanes.py`` check this
+differentially).
 
 Instructions whose semantics branch on runtime values in ways the
 recorder cannot express (``div``/``idiv``, shifts and rotates with a
 register count — anywhere ``known_zero`` needs a concrete answer) fall
 back to a per-instruction interpretive step over the shared
-``execute()``; correctness is preserved, only the speedup is forfeited
-for that instruction.
+``execute()``. Such a step runs one testcase at a time, so a candidate
+containing one is evaluated testcase by testcase.
 
 What gets compiled is a step's *shape*, not the instruction: the
 recorder emits register names and constants (immediates,
-displacements, folded values) as parameters ``K0, K1, ...``, one per
-distinct value, so siblings such as ``addq rdi, rax`` and
-``addq rsi, rcx``, or ``addq 7, rax`` and ``addq 9, rdx``, that differ
-only in those values record the same text. Each shape is
-``compile()``-d once (after :data:`_HOT_THRESHOLD` sightings) into a
-code object, and every instruction of that shape runs it with its own
-values bound as parameter defaults. Binding an instruction's values
-back reproduces exactly the source it would compile to on its own, so
-sharing is sound; aliasing is part of the shape (``addq rax, rax``
-reads one parameter twice, ``addq rax, rbx`` two).
+displacements, folded values, lane masks) as parameters, one per
+distinct value, so siblings such as ``addq rdi, rax`` and ``addq rsi,
+rcx``, or ``addq 7, rax`` and ``addq 9, rdx``, that differ only in
+those values record the same text. A parameter's first letter says how
+a layout binds it: ``R`` register names and ``N`` scalars (shift
+counts, sign fills) as they are, ``C`` constants replicated into every
+lane, ``L`` the layout itself. Each shape is ``compile()``-d once
+(after :data:`_HOT_THRESHOLD` sightings) into a code object, and every
+instruction of that shape runs it with its own values bound as
+parameter defaults. Binding an instruction's values back reproduces
+exactly the source it would compile to on its own, so sharing is
+sound; aliasing is part of the shape (``addq rax, rax`` reads one
+parameter twice, ``addq rax, rbx`` two).
 
 Compiled steps are cached on the :class:`Instruction` instances
 themselves (a proposal shares all but one instruction object with its
-predecessor) with a structural second-level cache behind them, so the
+predecessor), with a structural second-level cache behind them, so the
 steady-state compile cost of a proposal is one dictionary hit per slot.
-A structural miss costs one recording; a shape miss one ``compile()``.
+A :data:`ONE_LANE` step keeps its binding for the last lane layout it
+was bound to. A structural miss costs one recording; a shape miss one
+``compile()``.
 """
 
 from __future__ import annotations
 
 import builtins
+from itertools import filterfalse, repeat
 from types import CodeType, FunctionType
 from typing import Callable
 
@@ -67,8 +93,98 @@ from repro.x86.semantics import cc_value, execute
 
 _M64 = (1 << 64) - 1
 
+#: Bits per lane. The widest recorded value is 128 bits (XMM views, the
+#: ``mul`` widening product); ``eq``, ``ult`` and ``sub`` at that width
+#: need one guard bit above it, and one more keeps a spare.
+LANE_STRIDE = 130
+
+_LANE_MASK = (1 << LANE_STRIDE) - 1
+
 #: A compiled step: executes one instruction against (state, sandbox).
 Step = Callable[[MachineState, Sandbox], object]
+
+
+class LaneMiss(Exception):
+    """Raised by a lane step when the lanes disagree on a memory access.
+
+    The run it aborts had no effect outside its own packed state, so
+    the caller re-runs the candidate one testcase at a time.
+    """
+
+
+class Layout:
+    """``lanes`` testcases side by side, :data:`LANE_STRIDE` bits apart.
+
+    ``one`` holds 1 in every lane; a constant ``c`` used as an operand
+    is replicated into every lane as ``c * one``.
+    """
+
+    __slots__ = ("lanes", "one", "shifts", "_replicated")
+
+    def __init__(self, lanes: int) -> None:
+        self.lanes = lanes
+        self.shifts = range(0, LANE_STRIDE * lanes, LANE_STRIDE)
+        self.one = sum(1 << shift for shift in self.shifts)
+        self._replicated: dict[int, int] = {}
+
+    def replicate(self, value: int) -> int:
+        """``value`` in every lane."""
+        packed = self._replicated.get(value)
+        if packed is None:
+            if len(self._replicated) >= _STRUCTURAL_CACHE_LIMIT:
+                self._replicated.clear()
+            packed = self._replicated[value] = value * self.one
+        return packed
+
+    def pack(self, values) -> int:
+        """One value per lane, lane 0 first."""
+        packed = 0
+        for shift, value in zip(self.shifts, values):
+            packed |= value << shift
+        return packed
+
+    def lane(self, packed: int, index: int) -> int:
+        """Lane ``index`` of ``packed``."""
+        return (packed >> (LANE_STRIDE * index)) & _LANE_MASK
+
+
+_LAYOUTS: dict[int, Layout] = {}
+
+
+def layout(lanes: int) -> Layout:
+    """The shared layout of ``lanes`` lanes (steps cache by identity)."""
+    found = _LAYOUTS.get(lanes)
+    if found is None:
+        found = _LAYOUTS[lanes] = Layout(lanes)
+    return found
+
+
+#: One testcase per state: the layout of plain ``MachineState`` runs.
+ONE_LANE = layout(1)
+
+
+def _each(lay: Layout, op, width: int, a: int, b: int) -> int:
+    """``INT_ALGEBRA`` operation ``op`` applied lane by lane."""
+    if lay.lanes == 1:
+        return op(width, a, b)
+    result = 0
+    for shift in lay.shifts:
+        result |= op(width, a >> shift & _LANE_MASK,
+                     b >> shift & _LANE_MASK) << shift
+    return result
+
+
+def _mul_each(lay: Layout, width: int, a: int, b: int) -> int:
+    """``a * b`` truncated to ``width`` bits, lane by lane (a product
+    of packed ints would mix the lanes)."""
+    low = (1 << width) - 1
+    if lay.lanes == 1:
+        return (a * b) & low
+    result = 0
+    for shift in lay.shifts:
+        result |= ((a >> shift & _LANE_MASK) * (b >> shift & _LANE_MASK)
+                   & low) << shift
+    return result
 
 
 class _CannotCompile(Exception):
@@ -84,29 +200,88 @@ class _Const:
         self.value = value
 
 
+_ONE_KEY = ("one",)
+
+#: Popcount field masks by (field bits, width), shared by recordings.
+_FIELDS: dict[tuple, int] = {}
+
+
 class _SourceBuilder:
-    """A :class:`Machine` whose operations emit source, not values.
+    """A :class:`Machine` whose operations emit lane-form source.
 
     Values flowing through the semantics are either :class:`_Const`
     (folded immediately with the integer algebra's rules) or integer
     indices naming local variables ``v0, v1, ...`` of the generated
     step function. Every state access appends one (or a few) source
     lines; the finished function replays the reference emulator's exact
-    sequence of reads, writes and sandbox events for one instruction.
+    sequence of reads, writes and sandbox events for one instruction,
+    in every lane at once. Each runtime value holds, in every lane, a
+    value below ``2**width`` for the width the semantics gave it.
     """
 
     def __init__(self) -> None:
         self.alg = self            # semantics reach the algebra via m.alg
         self.lines: list[str] = []
         self._counter = 0
-        self._params: dict[int | str, str] = {}
+        self._params: dict[tuple, str] = {}
+        self._values: list = []
 
-    def _param(self, value: int | str) -> str:
-        """The parameter ``K<n>`` that carries ``value``, one per value."""
-        name = self._params.get(value)
+    def _param(self, kind: str, value, key: tuple | None = None) -> str:
+        """The parameter that carries ``value``: one per (kind, value),
+        or per ``key`` for a value derived from widths rather than from
+        the instruction, so an immediate never aliases a lane mask."""
+        if key is None:
+            key = (kind, value)
+        name = self._params.get(key)
         if name is None:
-            name = self._params[value] = f"K{len(self._params)}"
+            name = self._params[key] = f"{kind}{len(self._params)}"
+            self._values.append(value)
         return name
+
+    def _reg(self, name: str) -> str:
+        return self._params.get(("R", name)) or self._param("R", name)
+
+    def _num(self, value: int) -> str:
+        """A scalar constant: the same number for every lane."""
+        return self._params.get(("N", value)) or self._param("N", value)
+
+    def _rep(self, value: int) -> str:
+        """A constant replicated into every lane."""
+        return self._params.get(("C", value)) or self._param("C", value)
+
+    def _mask(self, width: int) -> str:
+        """``width`` low bits set in every lane."""
+        key = ("mask", width)
+        return self._params.get(key) or self._param("C", mask(width), key)
+
+    def _guard(self, width: int) -> str:
+        """Bit ``width`` set in every lane."""
+        key = ("guard", width)
+        return self._params.get(key) or self._param("C", 1 << width, key)
+
+    def _one(self) -> str:
+        return self._params.get(_ONE_KEY) or self._param("C", 1, _ONE_KEY)
+
+    def _fill(self, value: int) -> str:
+        """A scalar bit pattern that a 0/1 lane multiplies into place."""
+        return self._param("N", value, ("fill", value))
+
+    def _fields(self, bits: int, width: int) -> str:
+        """Ones in the low ``bits`` of every ``2 * bits``-bit field of a
+        ``width``-bit value, in every lane."""
+        key = ("fields", bits, width)
+        name = self._params.get(key)
+        if name is None:
+            fields = _FIELDS.get(key)
+            if fields is None:
+                fields = _FIELDS[key] = sum(
+                    mask(bits) << shift
+                    for shift in range(0, width, 2 * bits))
+            name = self._param("C", fields, key)
+        return name
+
+    def _layout(self) -> str:
+        return self._param("L", ONE_LANE)
 
     def _slot(self, expr: str) -> int:
         k = self._counter
@@ -114,20 +289,14 @@ class _SourceBuilder:
         self.lines.append(f"v{k} = {expr}")
         return k
 
-    def _tmp(self) -> str:
-        self._counter += 1
-        return f"v{self._counter - 1}"
-
     def _ref(self, v) -> str:
         if type(v) is _Const:
-            return self._param(v.value)
+            return self._rep(v.value)
         return f"v{v}"
 
-    @staticmethod
-    def _signed(ref: str, width: int) -> str:
-        """Inline two's-complement reinterpretation of a masked value."""
-        sign = 1 << (width - 1)
-        return f"({ref} - (({ref} & {sign}) << 1))"
+    def _lanewise(self, op: str, width: int, a, b) -> int:
+        return self._slot(f"_each({self._layout()}, {op}, {width}, "
+                          f"{self._ref(a)}, {self._ref(b)})")
 
     # -- algebra: arithmetic ------------------------------------------------
 
@@ -137,25 +306,44 @@ class _SourceBuilder:
     def add(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const((a.value + b.value) & mask(width))
-        return self._slot(
-            f"({self._ref(a)} + {self._ref(b)}) & {mask(width)}")
+        return self._slot(f"({self._ref(a)} + {self._ref(b)}) "
+                          f"& {self._mask(width)}")
 
     def sub(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const((a.value - b.value) & mask(width))
-        return self._slot(
-            f"({self._ref(a)} - {self._ref(b)}) & {mask(width)}")
+        if type(b) is _Const:          # a - b == a + (2**width - b)
+            return self._slot(
+                f"({self._ref(a)} + {self._rep(-b.value & mask(width))}) "
+                f"& {self._mask(width)}")
+        return self._slot(f"({self._guarded(width, a)} - {self._ref(b)}) "
+                          f"& {self._mask(width)}")
+
+    def _guarded(self, width: int, a) -> str:
+        """``a`` with the guard bit ``2**width`` set in every lane, so
+        subtracting a ``width``-bit value never borrows across lanes."""
+        if type(a) is _Const:
+            return self._rep(a.value | (1 << width))
+        return f"({self._ref(a)} | {self._guard(width)})"
 
     def mul(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const((a.value * b.value) & mask(width))
-        return self._slot(
-            f"({self._ref(a)} * {self._ref(b)}) & {mask(width)}")
+        if type(a) is _Const:
+            a, b = b, a
+        if type(b) is _Const and \
+                width + b.value.bit_length() <= LANE_STRIDE:
+            # the product stays inside its lane: multiply by the scalar
+            return self._slot(f"({self._ref(a)} * {self._num(b.value)}) "
+                              f"& {self._mask(width)}")
+        return self._slot(f"_mul_each({self._layout()}, {width}, "
+                          f"{self._ref(a)}, {self._ref(b)})")
 
     def neg(self, width: int, a):
         if type(a) is _Const:
             return _Const((-a.value) & mask(width))
-        return self._slot(f"(-{self._ref(a)}) & {mask(width)}")
+        return self._slot(f"({self._guard(width)} - {self._ref(a)}) "
+                          f"& {self._mask(width)}")
 
     # -- algebra: division (a runtime divisor raises _CannotCompile in
     # known_zero first, so these never divide by zero) ----------------------
@@ -163,24 +351,22 @@ class _SourceBuilder:
     def udiv(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(a.value // b.value)
-        return self._slot(f"{self._ref(a)} // {self._ref(b)}")
+        return self._lanewise("_udiv", width, a, b)
 
     def urem(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(a.value % b.value)
-        return self._slot(f"{self._ref(a)} % {self._ref(b)}")
+        return self._lanewise("_urem", width, a, b)
 
     def sdiv(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(INT_ALGEBRA.sdiv(width, a.value, b.value))
-        return self._slot(
-            f"_sdiv({width}, {self._ref(a)}, {self._ref(b)})")
+        return self._lanewise("_sdiv", width, a, b)
 
     def srem(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(INT_ALGEBRA.srem(width, a.value, b.value))
-        return self._slot(
-            f"_srem({width}, {self._ref(a)}, {self._ref(b)})")
+        return self._lanewise("_srem", width, a, b)
 
     # -- algebra: bitwise ---------------------------------------------------
 
@@ -202,9 +388,10 @@ class _SourceBuilder:
     def not_(self, width: int, a):
         if type(a) is _Const:
             return _Const(~a.value & mask(width))
-        return self._slot(f"~{self._ref(a)} & {mask(width)}")
+        return self._slot(f"{self._ref(a)} ^ {self._mask(width)}")
 
-    # -- algebra: shifts ----------------------------------------------------
+    # -- algebra: shifts (a constant count stays scalar; masking before
+    # a left shift keeps bits from crossing into the next lane) -------------
 
     def shl(self, width: int, a, count):
         if type(count) is _Const:
@@ -213,11 +400,9 @@ class _SourceBuilder:
                 return _Const(0)
             if type(a) is _Const:
                 return _Const((a.value << c) & mask(width))
-            return self._slot(
-                f"({self._ref(a)} << {self._param(c)}) & {mask(width)}")
-        c = self._ref(count)
-        return self._slot(f"0 if {c} >= {width} else "
-                          f"({self._ref(a)} << {c}) & {mask(width)}")
+            return self._slot(f"({self._ref(a)} & {self._mask(width - c)}) "
+                              f"<< {self._num(c)}")
+        return self._lanewise("_shl", width, a, count)
 
     def lshr(self, width: int, a, count):
         if type(count) is _Const:
@@ -226,66 +411,79 @@ class _SourceBuilder:
                 return _Const(0)
             if type(a) is _Const:
                 return _Const(a.value >> c)
-            return self._slot(f"{self._ref(a)} >> {self._param(c)}")
-        c = self._ref(count)
-        return self._slot(
-            f"0 if {c} >= {width} else {self._ref(a)} >> {c}")
+            return self._slot(f"({self._ref(a)} >> {self._num(c)}) "
+                              f"& {self._mask(width - c)}")
+        return self._lanewise("_lshr", width, a, count)
 
     def ashr(self, width: int, a, count):
         if type(count) is _Const and type(a) is _Const:
             return _Const(INT_ALGEBRA.ashr(width, a.value, count.value))
-        signed = self._signed(self._ref(a), width)
-        if type(count) is _Const:
-            c = self._param(min(count.value, width - 1))
-        else:
-            cr = self._ref(count)
-            c = f"({cr} if {cr} < {width - 1} else {width - 1})"
-        return self._slot(f"({signed} >> {c}) & {mask(width)}")
+        if type(count) is not _Const:
+            return self._lanewise("_ashr", width, a, count)
+        c = min(count.value, width - 1)
+        ref = self._ref(a)
+        return self._slot(
+            f"(({ref} >> {self._num(c)}) & {self._mask(width - c)}) | "
+            f"(({ref} >> {width - 1}) & {self._one()}) "
+            f"* {self._fill(mask(width) ^ mask(width - c))}")
 
-    # -- algebra: comparisons -----------------------------------------------
+    # -- algebra: comparisons (0/1 in every lane) ---------------------------
 
     def eq(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(1 if a.value == b.value else 0)
-        return self._slot(
-            f"1 if {self._ref(a)} == {self._ref(b)} else 0")
+        if type(a) is _Const:
+            a, b = b, a
+        if type(b) is _Const and b.value == 0:
+            diff = self._ref(a)
+        else:
+            diff = f"({self._ref(a)} ^ {self._ref(b)})"
+        # a nonzero lane carries into bit ``width`` when the mask is added
+        one = self._one()
+        return self._slot(f"((({diff} + {self._mask(width)}) >> {width}) "
+                          f"& {one}) ^ {one}")
 
     def ult(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(1 if a.value < b.value else 0)
-        return self._slot(
-            f"1 if {self._ref(a)} < {self._ref(b)} else 0")
+        # the guard bit survives the subtraction exactly when a >= b
+        one = self._one()
+        return self._slot(f"((({self._guarded(width, a)} - {self._ref(b)}) "
+                          f">> {width}) & {one}) ^ {one}")
 
     def slt(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(1 if to_signed(width, a.value) <
                           to_signed(width, b.value) else 0)
-        sa = self._signed(self._ref(a), width)
-        sb = self._signed(self._ref(b), width)
-        return self._slot(f"1 if {sa} < {sb} else 0")
+        # flipping the sign bits turns signed order into unsigned order
+        sign = 1 << (width - 1)
+        return self.ult(width, self.xor(width, a, _Const(sign)),
+                        self.xor(width, b, _Const(sign)))
 
     # -- algebra: structure -------------------------------------------------
 
     def ite(self, width: int, cond, then, otherwise):
         if type(cond) is _Const:
             return then if cond.value else otherwise
-        return self._slot(f"{self._ref(then)} if {self._ref(cond)} "
-                          f"else {self._ref(otherwise)}")
+        t = self._ref(then)
+        e = self._ref(otherwise)
+        return self._slot(f"{e} ^ (({t} ^ {e}) & "
+                          f"({self._ref(cond)} * {self._fill(mask(width))}))")
 
     def extract(self, hi: int, lo: int, a):
-        m = mask(hi - lo + 1)
         if type(a) is _Const:
-            return _Const((a.value >> lo) & m)
+            return _Const((a.value >> lo) & mask(hi - lo + 1))
         if lo == 0:
-            return self._slot(f"{self._ref(a)} & {m}")
-        return self._slot(f"({self._ref(a)} >> {lo}) & {m}")
+            return self._slot(f"{self._ref(a)} & {self._mask(hi + 1)}")
+        return self._slot(
+            f"({self._ref(a)} >> {lo}) & {self._mask(hi - lo + 1)}")
 
     def concat(self, hi_width: int, hi, lo_width: int, lo):
         if type(hi) is _Const and type(lo) is _Const:
             return _Const((hi.value << lo_width) | lo.value)
         if type(hi) is _Const:
             return self._slot(
-                f"{self._param(hi.value << lo_width)} | {self._ref(lo)}")
+                f"{self._rep(hi.value << lo_width)} | {self._ref(lo)}")
         return self._slot(
             f"({self._ref(hi)} << {lo_width}) | {self._ref(lo)}")
 
@@ -295,35 +493,50 @@ class _SourceBuilder:
     def sext(self, from_width: int, to_width: int, a):
         if type(a) is _Const:
             return _Const(to_signed(from_width, a.value) & mask(to_width))
-        signed = self._signed(self._ref(a), from_width)
-        return self._slot(f"{signed} & {mask(to_width)}")
+        if from_width == to_width:
+            return a
+        ref = self._ref(a)
+        fill = mask(to_width) ^ mask(from_width)
+        return self._slot(f"{ref} | (({ref} >> {from_width - 1}) "
+                          f"& {self._one()}) * {self._fill(fill)}")
 
     def popcount(self, width: int, a):
         if type(a) is _Const:
             return _Const(a.value.bit_count())
-        return self._slot(f"{self._ref(a)}.bit_count()")
+        # SWAR: sum neighbouring fields of 1, 2, 4, ... bits; masking
+        # both addends drops what a right shift pulls in from the next
+        # lane, and no field sum outgrows its field
+        count = self._slot(f"{self._ref(a)} - (({self._ref(a)} >> 1) & "
+                           f"{self._fields(1, width)})")
+        bits = 2
+        while bits < width:
+            fields = self._fields(bits, width)
+            ref = self._ref(count)
+            count = self._slot(f"({ref} & {fields}) + "
+                               f"(({ref} >> {bits}) & {fields})")
+            bits *= 2
+        return count
 
     # -- Machine protocol: state accesses -----------------------------------
 
     def read_full(self, name: str):
-        return self._slot(f"regs[{self._param(name)}]")
+        return self._slot(f"regs[{self._reg(name)}]")
 
     def write_full(self, name: str, value) -> None:
-        self.lines.append(
-            f"regs[{self._param(name)}] = {self._ref(value)}")
+        self.lines.append(f"regs[{self._reg(name)}] = {self._ref(value)}")
 
     def check_reg_defined(self, reg: Register) -> None:
         needed = (1 << reg.byte_width) - 1
         self.lines.append(
-            f"if rdef[{self._param(reg.full)}] & {needed} != {needed}: "
+            f"if rdef[{self._reg(reg.full)}] & {needed} != {needed}: "
             "events.undef += 1")
 
     def mark_reg_defined(self, reg: Register) -> None:
         if reg.reg_class is RegClass.GPR and reg.width == 32:
-            self.lines.append(f"rdef[{self._param(reg.full)}] = 255")
+            self.lines.append(f"rdef[{self._reg(reg.full)}] = 255")
         else:
             bits = (1 << reg.byte_width) - 1
-            self.lines.append(f"rdef[{self._param(reg.full)}] |= {bits}")
+            self.lines.append(f"rdef[{self._reg(reg.full)}] |= {bits}")
 
     def read_flag(self, name: str):
         self.lines.append(
@@ -337,31 +550,24 @@ class _SourceBuilder:
     def set_flag_undefined(self, name: str) -> None:
         self.lines.append(f"fdef[{name!r}] = False")
 
+    def _address(self, addr) -> str:
+        """Lane 0's address, after checking that every lane agrees."""
+        if type(addr) is _Const:
+            return self._num(addr.value)
+        ref = self._ref(addr)
+        base = self._ref(self._slot(f"{ref} & {_M64}"))
+        self.lines.append(f"if {base} * {self._one()} != {ref}: "
+                          "raise _LaneMiss")
+        return base
+
     def read_mem(self, addr, nbytes: int):
-        a = self._ref(addr)
-        k = self._slot("0")
-        lines = self.lines
-        for i in range(nbytes):
-            t = self._tmp()
-            lines.append(f"{t} = ({a} + {i}) & {_M64}")
-            lines.append(f"if check({t}):")
-            lines.append(f"    {t} = mem.get({t})")
-            lines.append(f"    if {t} is None: events.undef += 1")
-            lines.append(f"    else: v{k} |= {t} << {8 * i}")
-            lines.append("else:")
-            lines.append("    events.sigsegv += 1")
-        return k
+        base = self._address(addr)
+        return self._slot(f"_load(mem, check, events, {base}, {nbytes})")
 
     def write_mem(self, addr, nbytes: int, value) -> None:
-        a = self._ref(addr)
-        v = self._ref(value)
-        lines = self.lines
-        for i in range(nbytes):
-            t = self._tmp()
-            lines.append(f"{t} = ({a} + {i}) & {_M64}")
-            lines.append(f"if check({t}): "
-                         f"mem[{t}] = ({v} >> {8 * i}) & 255")
-            lines.append("else: events.sigsegv += 1")
+        base = self._address(addr)
+        self.lines.append(f"_store(mem, check, events, {base}, {nbytes}, "
+                          f"{self._ref(value)}, {self._mask(8)})")
 
     def fpe(self) -> None:
         self.lines.append("events.sigfpe += 1")
@@ -376,24 +582,62 @@ class _SourceBuilder:
     def shape(self, result=None) -> str:
         """The recorded step with its values lifted out: its *shape*.
 
-        Register names and constants appear as parameters ``K0, K1,
-        ...`` (one per distinct value, numbered by first use), so every
+        Register names and constants appear as parameters (one per
+        distinct value and kind, numbered by first use), so every
         instruction that differs from this one only in those values
         records the same text, aliasing included: ``addq rax, rax``
-        reads ``K0`` twice where ``addq rax, rbx`` reads ``K0`` and
-        ``K1``. With ``result``, the step returns that value's
+        reads ``R0`` twice where ``addq rax, rbx`` reads ``R0`` and
+        ``R1``. With ``result``, the step returns that value's
         expression (used for compiled condition codes).
         """
         lines = self.lines
         if result is not None:
             lines = lines + [f"return {self._ref(result)}"]
-        params = "".join(f", {name}" for name in self._params.values())
-        return f"def _step(s, box{params}):\n" + "\n".join(lines)
+        params = ", ".join(("s", "box", *self._params.values()))
+        return f"def _step({params}):\n" + "\n".join(lines)
 
     @property
     def values(self) -> tuple:
-        """The values of ``K0, K1, ...``, in parameter order."""
-        return tuple(self._params)
+        """The parameters' values bound for :data:`ONE_LANE`."""
+        return tuple(self._values)
+
+
+def _addresses(base: int, nbytes: int):
+    """The byte addresses from ``base``, wrapping at 2**64."""
+    end = base + nbytes
+    if end <= _M64:
+        return range(base, end)
+    return [(base + i) & _M64 for i in range(nbytes)]
+
+
+def _load(mem: dict, check, events, base: int, nbytes: int) -> int:
+    """Read ``nbytes`` bytes at scalar address ``base``, as the reference
+    does: a byte outside the sandbox faults and reads as zero, a byte
+    never written counts as an undefined read."""
+    value = 0
+    shift = 0
+    for addr in _addresses(base, nbytes):
+        if check(addr):
+            byte = mem.get(addr)
+            if byte is None:
+                events.undef += 1
+            else:
+                value |= byte << shift
+        else:
+            events.sigsegv += 1
+        shift += 8
+    return value
+
+
+def _store(mem: dict, check, events, base: int, nbytes: int, value: int,
+           byte_mask: int) -> None:
+    """Write ``nbytes`` bytes of ``value`` at scalar address ``base``."""
+    for addr in _addresses(base, nbytes):
+        if check(addr):
+            mem[addr] = value & byte_mask
+        else:
+            events.sigsegv += 1
+        value >>= 8
 
 
 _PREAMBLE = (("regs", "regs = s.regs"),
@@ -404,7 +648,12 @@ _PREAMBLE = (("regs", "regs = s.regs"),
              ("events", "events = s.events"),
              ("check", "check = box.check"))
 
-_STEP_GLOBALS = {"__builtins__": builtins,
+_STEP_GLOBALS = {"__builtins__": builtins, "_each": _each,
+                 "_LaneMiss": LaneMiss, "_load": _load, "_store": _store,
+                 "_mul_each": _mul_each,
+                 "_shl": INT_ALGEBRA.shl, "_lshr": INT_ALGEBRA.lshr,
+                 "_ashr": INT_ALGEBRA.ashr,
+                 "_udiv": INT_ALGEBRA.udiv, "_urem": INT_ALGEBRA.urem,
                  "_sdiv": INT_ALGEBRA.sdiv, "_srem": INT_ALGEBRA.srem}
 
 
@@ -424,10 +673,20 @@ def _compile_shape(shape: str) -> CodeType:
 def _bind(code: CodeType, values: tuple) -> Step:
     """A step running ``code`` with its parameters bound to ``values``.
 
-    The values become the defaults of the trailing ``K`` parameters, so
-    the step is called as ``step(state, sandbox)`` like any other.
+    The values become the defaults of the trailing parameters, so the
+    step is called as ``step(state, sandbox)`` like any other.
     """
     return FunctionType(code, _STEP_GLOBALS, "_step", values)
+
+
+def _rebind(step: Step, lay: Layout) -> Step:
+    """A compiled :data:`ONE_LANE` step's code, bound for ``lay``."""
+    code = step.__code__
+    kinds = code.co_varnames[2:code.co_argcount]
+    values = tuple(lay.replicate(value) if kind[0] == "C"
+                   else lay if kind[0] == "L" else value
+                   for kind, value in zip(kinds, step.__defaults__ or ()))
+    return _bind(code, values)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +705,11 @@ def _fallback_step(instr: Instruction) -> Step:
         machine.sandbox = box
         execute(instr, machine)
     return step
+
+
+def _is_compiled(step: Step) -> bool:
+    """True for a step running shape code (not the interpreter)."""
+    return step.__code__.co_name == "_step"
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +731,7 @@ class _EvaluatorCounters:
 
     __slots__ = ("instance_hits", "structural_hits", "shape_hits",
                  "tier_ups", "cold_fallbacks", "uncompilable_fallbacks",
-                 "programs_compiled")
+                 "programs_compiled", "lane_runs", "lane_fallbacks")
 
     def __init__(self) -> None:
         self.instance_hits = 0          # step cached on the instruction
@@ -477,6 +741,8 @@ class _EvaluatorCounters:
         self.cold_fallbacks = 0         # below the hot threshold
         self.uncompilable_fallbacks = 0  # semantics defeated the recorder
         self.programs_compiled = 0      # CompiledProgram constructions
+        self.lane_runs = 0              # evaluations run as lanes
+        self.lane_fallbacks = 0         # evaluations run one lane a time
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -537,7 +803,7 @@ def _shape_step(builder: _SourceBuilder) -> Step | None:
 
 
 def compiled_step(instr: Instruction) -> Step:
-    """The specialized step function for one non-jump instruction.
+    """The specialized :data:`ONE_LANE` step for one non-jump instruction.
 
     The first-level cache lives on the instruction instance (a proposal
     shares all but one instruction object with its predecessor); the
@@ -576,6 +842,26 @@ def compiled_step(instr: Instruction) -> Step:
     return step
 
 
+def lane_step(instr: Instruction, lay: Layout) -> Step | None:
+    """``instr``'s cached compiled step bound for ``lay``; None while it
+    interprets (or was never lowered).
+
+    The binding for the last layout is cached on the :data:`ONE_LANE`
+    step itself, so structurally equal instructions share it.
+    """
+    step = instr.__dict__.get("_compiled_step")
+    if step is None:
+        return None
+    bound = step.__dict__.get("lanes")
+    if bound is not None and bound[0] is lay:
+        return bound[1]
+    if not _is_compiled(step):
+        return None
+    lane = step if lay is ONE_LANE else _rebind(step, lay)
+    step.lanes = (lay, lane)
+    return lane
+
+
 def _compiled_cc(cc: str) -> Callable[[MachineState, Sandbox], int]:
     """A compiled evaluator for one jcc condition code."""
     evaluate = _CC_CACHE.get(cc)
@@ -600,21 +886,23 @@ class CompiledProgram:
     Straight-line programs (the overwhelmingly common case — proposal
     moves never introduce jumps) execute as one flat step list;
     programs with jumps run a per-slot trampoline whose targets were
-    resolved against the label table at compile time.
+    resolved against the label table at compile time. :meth:`run`
+    executes one testcase; :meth:`lane_steps` gives the steps for a
+    run over a whole packed suite, when lanes can carry the program.
     """
 
-    __slots__ = ("steps", "units", "slots", "regs_written",
-                 "flags_written", "writes_memory")
+    __slots__ = ("steps", "units", "slots", "_code", "_lanes")
 
     def __init__(self, prog: Program) -> None:
         self.slots = len(prog.code)
-        self._record_write_set(prog)
+        self._lanes: tuple[Layout, tuple[Step, ...] | None] | None = None
         if not prog.has_jumps():
+            self._code = tuple(filterfalse(is_unused, prog.code))
             self.steps: tuple[Step, ...] | None = tuple(
-                compiled_step(instr) for instr in prog.code
-                if not is_unused(instr))
+                map(compiled_step, self._code))
             self.units: tuple[tuple, ...] = ()
             return
+        self._code = ()
         self.steps = None
         units: list[tuple] = []
         for instr in prog.code:
@@ -634,34 +922,19 @@ class CompiledProgram:
                 units.append((_STRAIGHT, compiled_step(instr)))
         self.units = tuple(units)
 
-    def _record_write_set(self, prog: Program) -> None:
-        """The static over-approximation of what a run may dirty.
-
-        Lets a pooled state be reset by undoing exactly these writes
-        (:meth:`~repro.testgen.testcase.Testcase.undo_writes`) instead
-        of rebuilding every register and flag from the prototype. The
-        sets come from the ISA table's def/use metadata, so they cover
-        fallback-interpreted instructions too; partial runs (faults,
-        step limits) only ever dirty a subset. Each instruction's
-        contribution is cached on the instance, like its step.
-        """
-        regs: set[str] = set()
-        flags: set[str] = set()
-        writes_memory = False
-        for instr in prog.code:
-            if is_unused(instr) or instr.is_jump:
-                continue
-            contribution = instr.__dict__.get("_write_set")
-            if contribution is None:
-                contribution = instr.__dict__["_write_set"] = (
-                    tuple({reg.full for reg in instr.regs_written}),
-                    tuple(instr.flags_written), instr.writes_memory)
-            regs.update(contribution[0])
-            flags.update(contribution[1])
-            writes_memory = writes_memory or contribution[2]
-        self.regs_written = tuple(regs)
-        self.flags_written = tuple(flags)
-        self.writes_memory = writes_memory
+    def lane_steps(self, lay: Layout) -> tuple[Step, ...] | None:
+        """The steps bound for ``lay``, or None when lanes cannot carry
+        this program: it has jumps, or a step still interprets."""
+        lanes = self._lanes
+        if lanes is not None and lanes[0] is lay:
+            return lanes[1]
+        steps: tuple[Step, ...] | None = None
+        if self.steps is not None:
+            bound = tuple(map(lane_step, self._code, repeat(lay)))
+            if None not in bound:
+                steps = bound
+        self._lanes = (lay, steps)
+        return steps
 
     def run(self, state: MachineState, sandbox: Sandbox, *,
             max_steps: int = 10_000) -> MachineState:
@@ -694,11 +967,15 @@ class CompiledProgram:
         return state
 
 
-def compile_program(prog: Program) -> CompiledProgram:
-    """Lower ``prog`` once; cached on the program instance."""
+def compile_program(prog: Program,
+                    lay: Layout | None = None) -> CompiledProgram:
+    """Lower ``prog`` once (cached on the program instance); with a
+    layout, also bind its lane steps for that layout."""
     compiled = prog.__dict__.get("_compiled")
     if compiled is None:
         compiled = CompiledProgram(prog)
         prog.__dict__["_compiled"] = compiled
         COUNTERS.programs_compiled += 1
+    if lay is not None:
+        compiled.lane_steps(lay)
     return compiled

@@ -75,6 +75,51 @@ def _operand_type_key(operands: tuple[Operand, ...],
     return tuple(key)
 
 
+def _signature_keys(sig: tuple[Slot, ...]) -> list[tuple]:
+    """All concrete type keys a signature can match."""
+    keys: list[list[tuple]] = [[]]
+    for sl in sig:
+        grown: list[list[tuple]] = []
+        for prefix in keys:
+            for kind in sl.kinds:
+                if kind is OperandKind.REG:
+                    entry = ("r", sl.width, sl.reg_class.value)
+                elif kind is OperandKind.IMM:
+                    entry = ("i", sl.width)
+                elif kind is OperandKind.MEM:
+                    entry = ("m", sl.width)
+                else:
+                    continue
+                grown.append(prefix + [entry])
+        keys = grown or keys
+    return [tuple(k) for k in keys
+            if sum(1 for e in k if e[0] == "m") <= 1]
+
+
+_OPCODE_POOLS: dict[frozenset[str],
+                    tuple[list[Opcode], dict[tuple, list[Opcode]]]] = {}
+
+
+def _opcode_pool(extra_opcodes: frozenset[str]) \
+        -> tuple[list[Opcode], dict[tuple, list[Opcode]]]:
+    """The proposal pool and its operand-type class index, built once
+    per process for each set of extra opcodes (callers never mutate
+    them). The index maps operand-type keys to the opcodes accepting
+    them, in pool order."""
+    found = _OPCODE_POOLS.get(extra_opcodes)
+    if found is None:
+        pool = [op for op in OPCODES.values()
+                if op.family not in EXCLUDED_FAMILIES or
+                op.name in extra_opcodes]
+        index: dict[tuple, list[Opcode]] = {}
+        for op in pool:
+            for sig in op.signatures:
+                for key in _signature_keys(sig):
+                    index.setdefault(key, []).append(op)
+        found = _OPCODE_POOLS[extra_opcodes] = (pool, index)
+    return found
+
+
 class MoveGenerator:
     """Samples the proposal distribution q(R* | R)."""
 
@@ -82,47 +127,12 @@ class MoveGenerator:
                  *, extra_opcodes: frozenset[str] = frozenset()) -> None:
         self.config = config
         self.rng = rng
-        self.pool: list[Opcode] = [
-            op for op in OPCODES.values()
-            if op.family not in EXCLUDED_FAMILIES or
-            op.name in extra_opcodes
-        ]
-        self._class_index = self._build_class_index()
+        self.pool, self._class_index = _opcode_pool(extra_opcodes)
         self.constant_bag = self._build_constant_bag(target)
         self.mem_pool = self._build_mem_pool(target)
         self._move_cdf = self._build_move_cdf()
 
     # -- pool construction ------------------------------------------------------
-
-    def _build_class_index(self) -> dict[tuple, list[Opcode]]:
-        """Map operand-type keys to the opcodes accepting them."""
-        index: dict[tuple, list[Opcode]] = {}
-        for op in self.pool:
-            for sig in op.signatures:
-                for key in self._signature_keys(sig):
-                    index.setdefault(key, []).append(op)
-        return index
-
-    @staticmethod
-    def _signature_keys(sig: tuple[Slot, ...]) -> list[tuple]:
-        """All concrete type keys a signature can match."""
-        keys: list[list[tuple]] = [[]]
-        for sl in sig:
-            grown: list[list[tuple]] = []
-            for prefix in keys:
-                for kind in sl.kinds:
-                    if kind is OperandKind.REG:
-                        entry = ("r", sl.width, sl.reg_class.value)
-                    elif kind is OperandKind.IMM:
-                        entry = ("i", sl.width)
-                    elif kind is OperandKind.MEM:
-                        entry = ("m", sl.width)
-                    else:
-                        continue
-                    grown.append(prefix + [entry])
-            keys = grown or keys
-        return [tuple(k) for k in keys
-                if sum(1 for e in k if e[0] == "m") <= 1]
 
     def _build_constant_bag(self, target: Program) -> list[int]:
         bag = list(DEFAULT_CONSTANT_BAG)

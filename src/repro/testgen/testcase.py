@@ -34,7 +34,12 @@ class Testcase:
     expected_memory: tuple[tuple[int, int], ...]
     valid_addresses: frozenset[int]
 
-    def _proto(self) -> MachineState:
+    def initial_state(self) -> MachineState:
+        """A fresh machine state holding this testcase's inputs.
+
+        The prototype state is built once and copied per call; every
+        run that goes testcase by testcase starts from such a copy.
+        """
         proto = self.__dict__.get("_proto_state")
         if proto is None:
             proto = MachineState()
@@ -43,69 +48,7 @@ class Testcase:
             for addr, byte in self.input_memory:
                 proto.memory[addr] = byte
             self.__dict__["_proto_state"] = proto
-        return proto
-
-    def initial_state(self) -> MachineState:
-        """A fresh machine state holding this testcase's inputs.
-
-        The prototype state is built once and copied per call — this is
-        the hottest allocation in the reference evaluator's inner loop.
-        """
-        return self._proto().copy()
-
-    def reset_into(self, state: MachineState) -> MachineState:
-        """Reset a pooled state in place to this testcase's inputs.
-
-        Equivalent to :meth:`initial_state` but reuses ``state``'s
-        dictionaries instead of allocating five new ones per testcase —
-        the compiled evaluator's replacement for the prototype copy.
-        """
-        proto = self._proto()
-        state.regs.update(proto.regs)
-        state.reg_defined.update(proto.reg_defined)
-        state.flags.update(proto.flags)
-        state.flag_defined.update(proto.flag_defined)
-        memory = state.memory
-        memory.clear()
-        memory.update(proto.memory)
-        state.events.clear()
-        return state
-
-    def undo_writes(self, state: MachineState,
-                    regs_written: tuple[str, ...],
-                    flags_written: tuple[str, ...],
-                    wrote_memory: bool) -> MachineState:
-        """Selective :meth:`reset_into`: undo one program's write-set.
-
-        ``state`` must be a pooled state whose last run on *this*
-        testcase dirtied at most the given registers/flags (and memory
-        only if ``wrote_memory``) — the static write-set the compiled
-        evaluator records before each run. Everything else still holds
-        its prototype value, so only the dirtied entries are restored.
-        """
-        proto = self._proto()
-        if regs_written:
-            proto_regs = proto.regs
-            proto_rdef = proto.reg_defined
-            regs = state.regs
-            rdef = state.reg_defined
-            for name in regs_written:
-                regs[name] = proto_regs[name]
-                rdef[name] = proto_rdef[name]
-        if flags_written:
-            proto_flags = proto.flags
-            proto_fdef = proto.flag_defined
-            flags = state.flags
-            fdef = state.flag_defined
-            for name in flags_written:
-                flags[name] = proto_flags[name]
-                fdef[name] = proto_fdef[name]
-        if wrote_memory:
-            memory = state.memory
-            memory.clear()
-            memory.update(proto.memory)
-        state.events.clear()
-        return state
+        return proto.copy()
 
     def sandbox(self) -> Sandbox:
         box = self.__dict__.get("_sandbox")

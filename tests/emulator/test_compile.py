@@ -6,12 +6,14 @@ to the reference: same final registers, flags, memory, definedness
 These tests check that over the whole benchmark suite (every
 compilation of every kernel x generated testcases), over randomized
 programs drawn from the proposal distribution with a fixed seed, and
-at the cost-function level where the pooled-state reuse could smuggle
-state between candidates. Instructions that share a compiled shape are
-checked one by one on a warm shape cache, since each runs code that
-was compiled for a sibling. One test also holds the fast path to its
-reason to exist: a p01 chain makes the same decisions under both
-evaluators, and the compiled one makes them no slower.
+at the cost-function level, where a stream of candidates must score
+exactly as under the reference. Instructions that share a compiled
+shape are checked one by one on a warm shape cache, since each runs
+code that was compiled for a sibling. One test also holds the fast
+path to its reason to exist: a p01 chain makes the same decisions
+under both evaluators (and with lane runs turned off), and the
+compiled one makes them no slower. ``test_lanes.py`` covers the lane
+form itself.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from repro.cost.correctness import CostWeights
 from repro.cost.correctness import testcase_cost as eq_cost
 from repro.cost.function import CostFunction, Phase
 from repro.emulator import compile as compile_module
-from repro.emulator.compile import (COUNTERS, CompiledProgram,
-                                    compile_program, compiled_step)
+from repro.emulator.compile import (COUNTERS, compile_program,
+                                    compiled_step)
 from repro.emulator.cpu import Emulator
+from repro.emulator.lanes import LaneSuite
 from repro.emulator.sandbox import Sandbox
 from repro.emulator.state import MachineState
 from repro.errors import StepLimitExceeded
@@ -50,12 +53,12 @@ def _snapshot(state: MachineState) -> tuple:
 def _assert_identical(prog, testcase) -> None:
     reference = testcase.initial_state()
     Emulator(reference, testcase.sandbox()).run(prog)
-    pooled = testcase.reset_into(MachineState())
-    compile_program(prog).run(pooled, testcase.sandbox())
-    assert _snapshot(reference) == _snapshot(pooled), str(prog)
+    compiled = testcase.initial_state()
+    compile_program(prog).run(compiled, testcase.sandbox())
+    assert _snapshot(reference) == _snapshot(compiled), str(prog)
     weights = CostWeights()
     assert eq_cost(reference, testcase, weights) == \
-        eq_cost(pooled, testcase, weights)
+        eq_cost(compiled, testcase, weights)
 
 
 def _testcases(bench, count=4, seed=3):
@@ -103,8 +106,10 @@ def test_mutated_chain_programs_bit_identical():
             _assert_identical(prog, testcase)
 
 
-def test_pooled_state_reuse_matches_fresh_states():
-    """CostFunction's pooled evaluation never leaks between candidates."""
+def test_candidate_stream_costs_match_reference():
+    """One compiled CostFunction scores a stream of candidates (lane
+    runs and one-testcase-at-a-time runs alike) exactly as the
+    reference evaluator does: nothing leaks between candidates."""
     bench = benchmark("p12")
     testcases = _testcases(bench, count=6, seed=2)
     compiled_fn = CostFunction(testcases, bench.o0,
@@ -138,23 +143,35 @@ def _p01_chain(evaluator, proposals=1_000):
     return sampler.run(proposals)
 
 
-def test_compiled_chain_outpaces_reference():
+def _decisions(chain) -> tuple:
+    return (chain.best_cost, chain.current_cost, chain.stats.accepted,
+            chain.stats.testcases_evaluated)
+
+
+def test_compiled_chain_outpaces_reference(monkeypatch):
     """The compiled evaluator's reason to exist: the same chain, with
     the same decisions, at no fewer proposals per second.
 
     One unmeasured compiled pass pays every cold tier-up first (the
     measured pass proposes the same instruction stream), so the floor
-    compares steady states.
+    compares steady states. The chain also runs with every suite
+    refused by the lane packer, so every candidate goes one testcase at
+    a time: it must make the same decisions as the lane runs.
     """
     reference = _p01_chain("reference")
     _p01_chain("compiled")
+    runs = COUNTERS.lane_runs
     compiled = _p01_chain("compiled")
-    assert (compiled.best_cost, compiled.current_cost,
-            compiled.stats.accepted) == \
-        (reference.best_cost, reference.current_cost,
-         reference.stats.accepted)
+    assert COUNTERS.lane_runs > runs
+    assert _decisions(compiled) == _decisions(reference)
     assert compiled.stats.proposals_per_second >= \
         reference.stats.proposals_per_second
+    monkeypatch.setattr(LaneSuite, "pack",
+                        classmethod(lambda cls, states, valid: None))
+    runs = COUNTERS.lane_runs
+    one_lane = _p01_chain("compiled")
+    assert COUNTERS.lane_runs == runs
+    assert _decisions(one_lane) == _decisions(compiled)
 
 
 def test_jump_programs_take_both_branches():
@@ -175,9 +192,9 @@ def test_jump_programs_take_both_branches():
         reference = state.copy()
         from repro.emulator.sandbox import Sandbox
         Emulator(reference, Sandbox.recorder()).run(prog)
-        pooled = state.copy()
-        compile_program(prog).run(pooled, Sandbox.recorder())
-        assert _snapshot(reference) == _snapshot(pooled)
+        compiled = state.copy()
+        compile_program(prog).run(compiled, Sandbox.recorder())
+        assert _snapshot(reference) == _snapshot(compiled)
 
 
 def test_step_limit_enforced():
@@ -187,23 +204,6 @@ def test_step_limit_enforced():
     from repro.emulator.sandbox import Sandbox
     with pytest.raises(StepLimitExceeded):
         compile_program(prog).run(state, Sandbox.recorder(), max_steps=1)
-
-
-def test_write_set_covers_implicit_and_memory_effects():
-    prog = parse_program("""
-        pushq rdi
-        mulq rsi
-        popq rcx
-    """)
-    compiled = CompiledProgram(prog)
-    assert {"rsp", "rax", "rdx", "rcx"} <= set(compiled.regs_written)
-    assert compiled.writes_memory
-    # a rebuild unions the contributions cached on the instructions
-    assert all("_write_set" in instr.__dict__ for instr in prog.code)
-    again = CompiledProgram(prog)
-    assert set(again.regs_written) == set(compiled.regs_written)
-    assert set(again.flags_written) == set(compiled.flags_written)
-    assert again.writes_memory
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 The compiled fast path's admissibility rests on one property: for any
 candidate the proposal distribution can produce, running it compiled
-over pooled, undo-restored machine states is bit-identical to running
-it on the reference emulator over fresh states — same registers,
-flags, memory, definedness, Eq. 11 event counters, and therefore the
-same cost. These tests state that property over a *generated* program
-space (in the SpecFuzz spirit of surfacing latent behaviors by
-fuzzing): random straight-line candidates drawn through the move
-generator with fixed seeds, ~500 programs x 8 testcases per run,
-across kernels whose live specs cover registers, flags, and memory.
+is bit-identical to running it on the reference emulator — same
+registers, flags, memory, definedness, Eq. 11 event counters, and
+therefore the same cost — whether it runs one testcase at a time or
+over the whole suite packed into lanes. These tests state that
+property over a *generated* program space (in the SpecFuzz spirit of
+surfacing latent behaviors by fuzzing): random straight-line
+candidates drawn through the move generator with fixed seeds, ~500
+programs x 8 testcases per run, across kernels whose live specs cover
+registers, flags, and memory. A lane run must match the reference in
+every lane, and a cost function that runs lanes must return the same
+costs and failure counts as one that never does, under the same Eq. 14
+bounds.
 
 The budget is an env knob so CI can wire the suite in cheaply::
 
@@ -34,8 +38,9 @@ import pytest
 from repro.cost.correctness import CostWeights
 from repro.cost.correctness import testcase_cost as eq_cost
 from repro.cost.function import CostFunction, Phase
-from repro.emulator.compile import compile_program
+from repro.emulator.compile import COUNTERS, compile_program, compiled_step
 from repro.emulator.cpu import Emulator
+from repro.emulator.lanes import LaneSuite
 from repro.emulator.state import MachineState
 from repro.errors import EmulationError
 from repro.minimize import shrink_failing
@@ -75,14 +80,37 @@ def _divergence(prog, testcase) -> str | None:
     this program + testcase, or None when they are bit-identical."""
     reference = testcase.initial_state()
     Emulator(reference, testcase.sandbox()).run(prog)
-    pooled = testcase.reset_into(MachineState())
-    compile_program(prog).run(pooled, testcase.sandbox())
-    if _snapshot(reference) != _snapshot(pooled):
+    compiled = testcase.initial_state()
+    compile_program(prog).run(compiled, testcase.sandbox())
+    if _snapshot(reference) != _snapshot(compiled):
         return "machine state diverged"
     weights = CostWeights()
     if eq_cost(reference, testcase, weights) != \
-            eq_cost(pooled, testcase, weights):
+            eq_cost(compiled, testcase, weights):
         return "testcase cost diverged"
+    return None
+
+
+def _lane_divergence(prog, testcases) -> str | None:
+    """Why a lane run of this program over the packed testcases
+    disagrees with the reference in some lane, or None. A program the
+    lanes cannot carry (a jump, an uncompilable step, lanes that
+    disagree on an address) has nothing to compare."""
+    for instr in prog.code:                # past the hot threshold
+        if not instr.is_jump:
+            compiled_step(instr)
+            compiled_step(instr)
+    lanes = LaneSuite.pack([tc.initial_state() for tc in testcases],
+                           [tc.valid_addresses for tc in testcases])
+    steps = compile_program(prog, lanes.layout).lane_steps(lanes.layout)
+    packed = lanes.run(steps) if steps is not None else None
+    if packed is None:
+        return None
+    for index, testcase in enumerate(testcases):
+        reference = testcase.initial_state()
+        Emulator(reference, testcase.sandbox()).run(prog)
+        if _snapshot(lanes.lane(packed, index)) != _snapshot(reference):
+            return f"lane {index} of {len(testcases)} diverged"
     return None
 
 
@@ -101,13 +129,19 @@ def _save_artifact(kernel, program, reason) -> str | None:
 
 
 def _assert_bit_identical(kernel, prog, testcase) -> None:
-    reason = _divergence(prog, testcase)
+    _assert_holds(kernel, prog,
+                  lambda candidate: _divergence(candidate, testcase))
+
+
+def _assert_holds(kernel, prog, divergence) -> None:
+    """Fail with a minimal repro if ``divergence(prog)`` names one."""
+    reason = divergence(prog)
     if reason is None:
         return
 
     def still_fails(candidate) -> bool:
         try:
-            return _divergence(candidate, testcase) is not None
+            return divergence(candidate) is not None
         except EmulationError:
             return False          # a different bug is a different repro
 
@@ -142,38 +176,36 @@ def test_generated_programs_bit_identical(kernel):
             _assert_bit_identical(kernel, prog, testcase)
 
 
-@pytest.mark.parametrize("kernel", ("p12", "saxpy"))
-def test_pooled_state_reuse_after_undo(kernel):
-    """One pooled evaluator across the whole candidate stream.
+@pytest.mark.parametrize("kernel", FUZZ_KERNELS)
+def test_lane_runs_match_reference_and_one_lane_costs(kernel, monkeypatch):
+    """The lane property, over the same generated candidates.
 
-    The compiled path reuses per-testcase machine states, undoing each
-    candidate's static write set in place. If an undo ever missed a
-    write, the *next* candidate's cost would diverge from a fresh
-    reference evaluation — so the stream is scored through one
-    long-lived compiled CostFunction against a reference one, and the
-    first candidate is re-scored at the end (its pooled states have
-    by then been reused by every other candidate)."""
+    Every lane of a packed run equals the reference emulator's run of
+    its testcase. And one long-lived cost function that runs lanes
+    scores the whole candidate stream exactly like one that runs every
+    candidate one testcase at a time: same ``CostResult`` under the
+    same random Eq. 14 bounds, same failure counters after every
+    candidate (they order the next visit). The first candidate is
+    scored again at the end, after every other candidate ran.
+    """
     bench = benchmark(kernel)
     testcases = _testcases(bench)
-    compiled_fn = CostFunction(testcases, bench.o0,
-                               phase=Phase.OPTIMIZATION,
-                               evaluator="compiled")
-    reference_fn = CostFunction(testcases, bench.o0,
-                                phase=Phase.OPTIMIZATION,
-                                evaluator="reference")
     programs = _fuzz_programs(bench, PER_KERNEL, seed=7)
-    first = programs[0]
-    first_value = None
     for prog in programs:
-        compiled = compiled_fn.evaluate(prog)
-        reference = reference_fn.evaluate(prog)
-        assert compiled.value == reference.value, str(prog)
-        assert compiled.eq_term == reference.eq_term, str(prog)
-        if prog is first:
-            first_value = compiled.value
-    again = compiled_fn.evaluate(first)
-    assert again.value == first_value, \
-        "pooled-state reuse leaked between candidates"
+        _assert_holds(kernel, prog,
+                      lambda candidate: _lane_divergence(candidate,
+                                                         testcases))
+    lanes = CostFunction(testcases, bench.o0, phase=Phase.OPTIMIZATION)
+    one_lane = CostFunction(testcases, bench.o0, phase=Phase.OPTIMIZATION)
+    monkeypatch.setattr(one_lane, "_lane_suite", lambda: None)
+    rng = random.Random(f"bounds/{kernel}")
+    runs = COUNTERS.lane_runs
+    for prog in programs + programs[:1]:
+        bound = rng.choice((None, rng.randint(-8, 80)))
+        assert lanes.evaluate(prog, bound) == \
+            one_lane.evaluate(prog, bound), str(prog)
+        assert lanes._fail_counts == one_lane._fail_counts, str(prog)
+    assert COUNTERS.lane_runs > runs
 
 
 def test_failure_path_shrinks_and_saves_a_minimal_repro(

@@ -49,9 +49,8 @@ def test_cost_function_drops_duplicate_counterexamples():
     assert cost_fn.add_testcase(_testcase(5, 5)) is False
     assert cost_fn.add_testcase(_testcase(3, 9)) is False  # base dup
     assert len(cost_fn.testcases) == 3
-    # the parallel bookkeeping arrays stay in lockstep
-    assert len(cost_fn._pools) == len(cost_fn.testcases)
-    assert len(cost_fn._pool_dirty) == len(cost_fn.testcases)
+    # the failure counters and the lane packing follow the suite
     assert len(cost_fn._fail_counts) == len(cost_fn.testcases)
+    assert cost_fn._lane_suite().layout.lanes == len(cost_fn.testcases)
     # and evaluation still works over the deduped suite
     assert cost_fn.evaluate(target).correct_on_tests
