@@ -278,6 +278,7 @@ class CostFunction:
             return None
         state = lanes.run(steps)
         if state is None:
+            COUNTERS.lane_misses += 1
             return None
         costs: list[int] | None = None
         for weight, term in self._testcase_terms:

@@ -42,12 +42,13 @@ Eq. 11 event counters — are bit-identical in every lane
 (``tests/emulator/test_compile.py`` and ``test_lanes.py`` check this
 differentially).
 
-Instructions whose semantics branch on runtime values in ways the
-recorder cannot express (``div``/``idiv``, shifts and rotates with a
-register count — anywhere ``known_zero`` needs a concrete answer) fall
-back to a per-instruction interpretive step over the shared
-``execute()``. Such a step runs one testcase at a time, so a candidate
-containing one is evaluated testcase by testcase.
+Where the semantics branch on whether a runtime value is zero (a
+shift or rotate count in ``cl`` leaves the flags alone when zero;
+``div``/``idiv`` fault on a zero divisor or a quotient that does not
+fit), the recorder replays ``execute()`` once per answer and the step
+tests the value when it runs: zero in every lane takes one recording,
+zero in no lane the other, and a mix raises :class:`LaneMiss`, so that
+candidate runs one testcase at a time, where the test always decides.
 
 What gets compiled is a step's *shape*, not the instruction: the
 recorder emits register names and constants (immediates,
@@ -57,13 +58,13 @@ rcx``, or ``addq 7, rax`` and ``addq 9, rdx``, that differ only in
 those values record the same text. A parameter's first letter says how
 a layout binds it: ``R`` register names and ``N`` scalars (shift
 counts, sign fills) as they are, ``C`` constants replicated into every
-lane, ``L`` the layout itself. Each shape is ``compile()``-d once
-(after :data:`_HOT_THRESHOLD` sightings) into a code object, and every
-instruction of that shape runs it with its own values bound as
-parameter defaults. Binding an instruction's values back reproduces
-exactly the source it would compile to on its own, so sharing is
-sound; aliasing is part of the shape (``addq rax, rax`` reads one
-parameter twice, ``addq rax, rbx`` two).
+lane, ``L`` the layout itself. Each shape is ``compile()``-d once, on
+its first sighting, into a code object, and every instruction of that
+shape runs it with its own values bound as parameter defaults.
+Binding an instruction's values back reproduces exactly the source it
+would compile to on its own, so sharing is sound; aliasing is part of
+the shape (``addq rax, rax`` reads one parameter twice, ``addq rax,
+rbx`` two).
 
 Compiled steps are cached on the :class:`Instruction` instances
 themselves (a proposal shares all but one instruction object with its
@@ -81,7 +82,6 @@ from itertools import filterfalse, repeat
 from types import CodeType, FunctionType
 from typing import Callable
 
-from repro.emulator.cpu import Emulator
 from repro.emulator.sandbox import Sandbox
 from repro.emulator.state import MachineState
 from repro.errors import StepLimitExceeded
@@ -105,7 +105,8 @@ Step = Callable[[MachineState, Sandbox], object]
 
 
 class LaneMiss(Exception):
-    """Raised by a lane step when the lanes disagree on a memory access.
+    """Raised by a lane step when the lanes disagree on a memory access
+    or on a runtime zero test (see :meth:`_SourceBuilder.record`).
 
     The run it aborts had no effect outside its own packed state, so
     the caller re-runs the candidate one testcase at a time.
@@ -187,10 +188,6 @@ def _mul_each(lay: Layout, width: int, a: int, b: int) -> int:
     return result
 
 
-class _CannotCompile(Exception):
-    """Raised when semantics need a concrete value at compile time."""
-
-
 class _Const:
     """A compile-time-known value in the recording machine."""
 
@@ -225,6 +222,8 @@ class _SourceBuilder:
         self._counter = 0
         self._params: dict[tuple, str] = {}
         self._values: list = []
+        self._script: list[bool] = []
+        self._guards: list[tuple[int, str, str]] = []
 
     def _param(self, kind: str, value, key: tuple | None = None) -> str:
         """The parameter that carries ``value``: one per (kind, value),
@@ -345,8 +344,8 @@ class _SourceBuilder:
         return self._slot(f"({self._guard(width)} - {self._ref(a)}) "
                           f"& {self._mask(width)}")
 
-    # -- algebra: division (a runtime divisor raises _CannotCompile in
-    # known_zero first, so these never divide by zero) ----------------------
+    # -- algebra: division (recorded only where known_zero answered that
+    # the divisor is nonzero, so these never divide by zero) ----------------
 
     def udiv(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
@@ -575,7 +574,58 @@ class _SourceBuilder:
     def known_zero(self, width: int, value) -> bool:
         if type(value) is _Const:
             return value.value == 0
-        raise _CannotCompile("runtime-dependent control flow")
+        # a runtime value: answer from the script (True past its end),
+        # noting where the step must test the real value (see record)
+        index = len(self._guards)
+        ref = self._ref(value)
+        one = self._one()
+        self._guards.append(
+            (len(self.lines), f"{ref} == 0",
+             f"(({ref} + {self._mask(width)}) >> {width}) & {one} == {one}"))
+        return self._script[index] if index < len(self._script) else True
+
+    # -- recording ----------------------------------------------------------
+
+    def record(self, instr: Instruction) -> None:
+        """Record ``instr`` as one step.
+
+        Where the semantics ask whether a runtime value is zero (a shift
+        count, a divisor, whether a quotient fits), the step tests it:
+        zero in every lane runs the recording that answered True, zero
+        in no lane the one that answered False, and a mix raises
+        ``LaneMiss``.
+        """
+        self.lines = self._branches(instr, [], 0, self._replay(instr, []))
+
+    def _replay(self, instr: Instruction, script: list[bool]) -> tuple:
+        """The lines and zero tests of ``instr`` recorded afresh with
+        the tests answered from ``script`` (True past its end).
+
+        Replays share the parameter table and record the same lines up
+        to where their answers differ.
+        """
+        self.lines, self._guards, self._counter = [], [], 0
+        self._script = script
+        execute(instr, self)
+        return self.lines, self._guards
+
+    def _branches(self, instr: Instruction, script: list[bool], start: int,
+                  run: tuple) -> list[str]:
+        """The lines from ``start`` of ``run``, the replay under
+        ``script``, branching on every later zero test; each branch
+        keeps only its own lines."""
+        lines, guards = run
+        depth = len(script)
+        if depth == len(guards):
+            return lines[start:]
+        at, zero, nonzero = guards[depth]
+        when_zero = self._branches(instr, script + [True], at, run)
+        when_not = self._branches(instr, script + [False], at,
+                                  self._replay(instr, script + [False]))
+        return (lines[start:at]
+                + [f"if {zero}:"] + [f"    {line}" for line in when_zero]
+                + [f"elif {nonzero}:"] + [f"    {line}" for line in when_not]
+                + ["else:", "    raise _LaneMiss"])
 
     # -- assembly -----------------------------------------------------------
 
@@ -690,29 +740,6 @@ def _rebind(step: Step, lay: Layout) -> Step:
 
 
 # ---------------------------------------------------------------------------
-# the interpretive fallback
-# ---------------------------------------------------------------------------
-
-_FALLBACK_MACHINE = Emulator(MachineState(), Sandbox.recorder())
-
-
-def _fallback_step(instr: Instruction) -> Step:
-    """A step interpreting ``instr`` through the shared executor."""
-    machine = _FALLBACK_MACHINE
-
-    def step(s, box):
-        machine.state = s
-        machine.sandbox = box
-        execute(instr, machine)
-    return step
-
-
-def _is_compiled(step: Step) -> bool:
-    """True for a step running shape code (not the interpreter)."""
-    return step.__code__.co_name == "_step"
-
-
-# ---------------------------------------------------------------------------
 # evaluator telemetry
 # ---------------------------------------------------------------------------
 
@@ -723,26 +750,28 @@ class _EvaluatorCounters:
     Monotonic tallies, snapshotted around each chain job by the engine
     worker (the difference is that chain's share). They describe real
     execution, which is why they are *not* deterministic across worker
-    counts: the structural cache and hot-threshold table are per
-    process, so which chain pays a tier-up depends on pool placement.
+    counts: the structural and shape caches are per process, so which
+    chain pays a tier-up depends on pool placement.
     Telemetry therefore files them under the chain's nondeterministic
     ``runtime`` section.
     """
 
     __slots__ = ("instance_hits", "structural_hits", "shape_hits",
-                 "tier_ups", "cold_fallbacks", "uncompilable_fallbacks",
-                 "programs_compiled", "lane_runs", "lane_fallbacks")
+                 "tier_ups", "cold_fallbacks", "programs_compiled",
+                 "lane_runs", "lane_fallbacks", "lane_misses")
 
     def __init__(self) -> None:
         self.instance_hits = 0          # step cached on the instruction
         self.structural_hits = 0        # equal instruction seen before
         self.shape_hits = 0             # step bound to compiled shape code
         self.tier_ups = 0               # one compile() of a step's shape
-        self.cold_fallbacks = 0         # below the hot threshold
-        self.uncompilable_fallbacks = 0  # semantics defeated the recorder
+        # always 0 (every shape compiles on first sight); kept because
+        # perfbench/run.py reads it until a benchmark change drops it
+        self.cold_fallbacks = 0
         self.programs_compiled = 0      # CompiledProgram constructions
         self.lane_runs = 0              # evaluations run as lanes
         self.lane_fallbacks = 0         # evaluations run one lane a time
+        self.lane_misses = 0            # lane runs aborted by LaneMiss
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -767,32 +796,14 @@ _STRUCTURAL_CACHE_LIMIT = 1 << 16
 _SHAPE_CACHE: dict[str, CodeType] = {}
 _SHAPE_CACHE_LIMIT = 1 << 12
 
-#: Sightings before a shape is worth ``compile()``-ing. Random
-#: proposals draw many one-shot shapes; interpreting a shape's
-#: instructions until it recurs keeps compile latency off their path
-#: while everything the chain actually revisits still gets compiled.
-_HOT_THRESHOLD = 2
-
-#: Sightings of not-yet-compiled shapes, keyed by the shape's hash to
-#: keep the table small (a collision only compiles a shape early).
-_SEEN_ONCE: dict[int, int] = {}
-
 _CC_CACHE: dict[str, Callable[[MachineState, Sandbox], int]] = {}
 
 
-def _shape_step(builder: _SourceBuilder) -> Step | None:
-    """The recorded instruction's step, or None while its shape is cold."""
+def _shape_step(builder: _SourceBuilder) -> Step:
+    """The recorded instruction's step, bound to its shape's code."""
     shape = builder.shape()
     code = _SHAPE_CACHE.get(shape)
     if code is None:
-        key = hash(shape)
-        count = _SEEN_ONCE.get(key, 0) + 1
-        if count < _HOT_THRESHOLD:
-            if len(_SEEN_ONCE) >= _STRUCTURAL_CACHE_LIMIT:
-                _SEEN_ONCE.clear()
-            _SEEN_ONCE[key] = count
-            return None
-        _SEEN_ONCE.pop(key, None)
         if len(_SHAPE_CACHE) >= _SHAPE_CACHE_LIMIT:
             _SHAPE_CACHE.clear()
         code = _SHAPE_CACHE[shape] = _compile_shape(shape)
@@ -811,9 +822,7 @@ def compiled_step(instr: Instruction) -> Step:
     never re-records it. Otherwise the instruction is recorded and its
     shape looked up: an instruction that differs from a compiled one
     only in register names and constants binds its own values to the
-    same code, and never calls ``compile()``. Below
-    :data:`_HOT_THRESHOLD` sightings of its shape the returned step
-    interprets (bit-identically) instead.
+    same code, and never calls ``compile()``.
     """
     step = instr.__dict__.get("_compiled_step")
     if step is not None:
@@ -823,16 +832,8 @@ def compiled_step(instr: Instruction) -> Step:
     step = _STRUCTURAL_CACHE.get(key)
     if step is None:
         builder = _SourceBuilder()
-        try:
-            execute(instr, builder)
-        except _CannotCompile:
-            COUNTERS.uncompilable_fallbacks += 1
-            step = _fallback_step(instr)
-        else:
-            step = _shape_step(builder)
-            if step is None:
-                COUNTERS.cold_fallbacks += 1
-                return _fallback_step(instr)   # cold: not cached
+        builder.record(instr)
+        step = _shape_step(builder)
         if len(_STRUCTURAL_CACHE) >= _STRUCTURAL_CACHE_LIMIT:
             _STRUCTURAL_CACHE.clear()
         _STRUCTURAL_CACHE[key] = step
@@ -842,21 +843,17 @@ def compiled_step(instr: Instruction) -> Step:
     return step
 
 
-def lane_step(instr: Instruction, lay: Layout) -> Step | None:
-    """``instr``'s cached compiled step bound for ``lay``; None while it
-    interprets (or was never lowered).
+def lane_step(instr: Instruction, lay: Layout) -> Step:
+    """``instr``'s step, lowered by :func:`compiled_step`, bound for
+    ``lay``.
 
     The binding for the last layout is cached on the :data:`ONE_LANE`
     step itself, so structurally equal instructions share it.
     """
-    step = instr.__dict__.get("_compiled_step")
-    if step is None:
-        return None
+    step = instr.__dict__["_compiled_step"]
     bound = step.__dict__.get("lanes")
     if bound is not None and bound[0] is lay:
         return bound[1]
-    if not _is_compiled(step):
-        return None
     lane = step if lay is ONE_LANE else _rebind(step, lay)
     step.lanes = (lay, lane)
     return lane
@@ -923,16 +920,13 @@ class CompiledProgram:
         self.units = tuple(units)
 
     def lane_steps(self, lay: Layout) -> tuple[Step, ...] | None:
-        """The steps bound for ``lay``, or None when lanes cannot carry
-        this program: it has jumps, or a step still interprets."""
+        """The steps bound for ``lay``, or None when the program has
+        jumps (lanes run straight-line code only)."""
         lanes = self._lanes
         if lanes is not None and lanes[0] is lay:
             return lanes[1]
-        steps: tuple[Step, ...] | None = None
-        if self.steps is not None:
-            bound = tuple(map(lane_step, self._code, repeat(lay)))
-            if None not in bound:
-                steps = bound
+        steps = None if self.steps is None else \
+            tuple(map(lane_step, self._code, repeat(lay)))
         self._lanes = (lay, steps)
         return steps
 

@@ -11,9 +11,11 @@ starts with the same definedness and the same input-memory addresses;
 
 Memory stays byte-addressed by one scalar address per byte. A lane step
 raises :class:`~repro.emulator.compile.LaneMiss` when its lanes compute
-different addresses, and :class:`LaneSandbox` raises it for an address
-that only some testcases' sandboxes allow; :meth:`LaneSuite.run` then
-reports that the suite must run one testcase at a time.
+different addresses (or split on a runtime zero test, such as a zero
+shift count in some lanes only), and :class:`LaneSandbox` raises it for
+an address that only some testcases' sandboxes allow;
+:meth:`LaneSuite.run` then reports that the suite must run one
+testcase at a time.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class LaneSuite:
     def run(self, steps: Sequence[Step]) -> MachineState | None:
         """Run lane steps over a fresh copy of the packed suite.
 
-        None when the lanes disagreed on a memory access; the partial
-        run touched nothing but its own copy.
+        None when the lanes disagreed (on a memory access or a runtime
+        zero test); the partial run touched nothing but its own copy.
         """
         state = self.proto.copy()
         box = self.sandbox

@@ -152,7 +152,7 @@ def test_compiled_chain_outpaces_reference(monkeypatch):
     """The compiled evaluator's reason to exist: the same chain, with
     the same decisions, at no fewer proposals per second.
 
-    One unmeasured compiled pass pays every cold tier-up first (the
+    One unmeasured compiled pass pays every tier-up first (the
     measured pass proposes the same instruction stream), so the floor
     compares steady states. The chain also runs with every suite
     refused by the lane packer, so every candidate goes one testcase at
@@ -273,13 +273,13 @@ def _assert_step_identical(instr, step):
 
 def _shape(text):
     builder = compile_module._SourceBuilder()
-    execute(parse_instruction(text), builder)
+    builder.record(parse_instruction(text))
     return builder.shape()
 
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    for name in ("_STRUCTURAL_CACHE", "_SHAPE_CACHE", "_SEEN_ONCE"):
+    for name in ("_STRUCTURAL_CACHE", "_SHAPE_CACHE"):
         monkeypatch.setattr(compile_module, name, {})
 
 
@@ -289,8 +289,7 @@ def test_shape_siblings_share_code_and_stay_bit_identical(family,
     assert len({_shape(text) for text in family}) == 1
     instrs = [parse_instruction(text) for text in family]
     tier_ups = COUNTERS.tier_ups
-    compiled_step(parse_instruction(family[0]))      # cold sighting
-    compiled_step(instrs[0])                         # hot: compiled
+    compiled_step(instrs[0])                         # first sighting
     assert COUNTERS.tier_ups == tier_ups + 1
     for instr in instrs[1:]:
         shape_hits = COUNTERS.shape_hits
@@ -308,15 +307,11 @@ def test_aliasing_is_part_of_the_shape(pair, cold_caches):
     assert _shape(pair[0]) != _shape(pair[1])
     for text in pair:
         instr = parse_instruction(text)
-        compiled_step(parse_instruction(text))
-        step = compiled_step(instr)
-        assert step.__code__.co_name == "_step"     # not the fallback
-        _assert_step_identical(instr, step)
+        _assert_step_identical(instr, compiled_step(instr))
 
 
 def test_shape_cache_is_bounded(cold_caches, monkeypatch):
     monkeypatch.setattr(compile_module, "_SHAPE_CACHE_LIMIT", 2)
     for text in ("addq rdi, rax", "subq rdi, rax", "xorq rdi, rax"):
-        compiled_step(parse_instruction(text))
         compiled_step(parse_instruction(text))
     assert len(compile_module._SHAPE_CACHE) <= 2

@@ -38,7 +38,7 @@ import pytest
 from repro.cost.correctness import CostWeights
 from repro.cost.correctness import testcase_cost as eq_cost
 from repro.cost.function import CostFunction, Phase
-from repro.emulator.compile import COUNTERS, compile_program, compiled_step
+from repro.emulator.compile import COUNTERS, compile_program
 from repro.emulator.cpu import Emulator
 from repro.emulator.lanes import LaneSuite
 from repro.emulator.state import MachineState
@@ -94,12 +94,8 @@ def _divergence(prog, testcase) -> str | None:
 def _lane_divergence(prog, testcases) -> str | None:
     """Why a lane run of this program over the packed testcases
     disagrees with the reference in some lane, or None. A program the
-    lanes cannot carry (a jump, an uncompilable step, lanes that
-    disagree on an address) has nothing to compare."""
-    for instr in prog.code:                # past the hot threshold
-        if not instr.is_jump:
-            compiled_step(instr)
-            compiled_step(instr)
+    lanes cannot carry (a jump, lanes that disagree on an address or on
+    a zero test) has nothing to compare."""
     lanes = LaneSuite.pack([tc.initial_state() for tc in testcases],
                            [tc.valid_addresses for tc in testcases])
     steps = compile_program(prog, lanes.layout).lane_steps(lanes.layout)

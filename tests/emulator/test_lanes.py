@@ -8,11 +8,13 @@ and 16 lanes, so a borrow or carry that leaks into a neighbouring lane
 shows up (a constant operand takes every value at width 8, and the
 values around 0, the sign bit and the top at width 9). Then whole
 candidates: a packed run must equal the reference emulator in every
-lane, and each reason a candidate falls back to one testcase at a time
-(an address that differs between lanes, an address only some
-sandboxes allow, a cold step, an uncompilable step, a jump, a suite
-that grows mid-chain) gets its own test. Last, the packed scorer must
-equal Eq. 15 lane by lane.
+lane, also on its first sighting and where the step tests a runtime
+value for zero (a shift count in ``cl``, a divisor, whether a quotient
+fits) with every lane, no lane or only some lanes zero. Each reason a
+candidate falls back to one testcase at a time (an address that
+differs between lanes, an address only some sandboxes allow, a zero
+test that splits the lanes, a jump, a suite that grows mid-chain) gets
+its own test. Last, the packed scorer must equal Eq. 15 lane by lane.
 """
 
 from __future__ import annotations
@@ -261,11 +263,6 @@ def _pack(testcases):
 
 def _assert_lanes_match_reference(prog, testcases):
     lanes = _pack(testcases)
-    compiled_step = compile_module.compiled_step
-    for instr in prog.code:            # warm every shape past cold
-        if not instr.is_jump:
-            compiled_step(instr)
-            compiled_step(instr)
     steps = compile_program(prog, lanes.layout).lane_steps(lanes.layout)
     assert steps is not None, str(prog)
     packed = lanes.run(steps)
@@ -349,13 +346,6 @@ def _counted_costs(testcases, prog, target=None):
     return moved
 
 
-def _warm(prog):
-    for instr in prog.code:
-        if not instr.is_jump:
-            compile_module.compiled_step(instr)
-            compile_module.compiled_step(instr)
-
-
 def _pointer_suite(bases, valid_extra=None):
     """One testcase per base: rdi points at 8 defined bytes there."""
     testcases = []
@@ -373,7 +363,6 @@ def _pointer_suite(bases, valid_extra=None):
 
 def test_uniform_memory_runs_as_lanes():
     prog = parse_program("movq (rdi), rax\naddq rsi, rax")
-    _warm(prog)
     assert _counted_costs(_pointer_suite([0x4000] * 3), prog) == (1, 0)
 
 
@@ -381,19 +370,16 @@ def test_address_that_differs_between_lanes_falls_back():
     """Lanes that compute different addresses abandon the lane run;
     the suite packs (same memory addresses) but rsi differs."""
     prog = parse_program("movq (rdi,rsi,1), rax")
-    _warm(prog)
     assert _counted_costs(_pointer_suite([0x4000] * 3), prog) == (0, 1)
 
 
 def test_address_valid_in_some_lanes_only_falls_back():
     extra = [frozenset(), frozenset({0x4008}), frozenset()]
     prog = parse_program("movb 8(rdi), al")
-    _warm(prog)
     assert _counted_costs(_pointer_suite([0x4000] * 3, extra), prog) == \
         (0, 1)
     # an address no lane may touch segfaults in every lane, as lanes
     prog = parse_program("movb 9(rdi), al")
-    _warm(prog)
     assert _counted_costs(_pointer_suite([0x4000] * 3, extra), prog) == \
         (1, 0)
 
@@ -402,7 +388,6 @@ def test_suites_that_differ_in_memory_addresses_do_not_pack():
     testcases = _pointer_suite([0x4000, 0x5000])
     assert _pack(testcases) is None
     prog = parse_program("movq (rdi), rax")
-    _warm(prog)
     assert _counted_costs(testcases, prog) == (0, 1)
 
 
@@ -415,23 +400,105 @@ def test_suites_that_differ_in_definedness_do_not_pack():
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    for name in ("_STRUCTURAL_CACHE", "_SHAPE_CACHE", "_SEEN_ONCE"):
+    for name in ("_STRUCTURAL_CACHE", "_SHAPE_CACHE"):
         monkeypatch.setattr(compile_module, name, {})
 
 
-def test_cold_step_falls_back_then_runs_as_lanes(cold_caches):
+def test_first_sighting_runs_as_lanes(cold_caches):
     _bench, testcases = _suite("p01", count=4)
-    text = "movq rdi, rax\nsubq 1, rax\nandq rdi, rax"
-    assert _counted_costs(testcases, parse_program(text)) == (0, 1)
-    # a second sighting makes every shape hot
-    assert _counted_costs(testcases, parse_program(text)) == (1, 0)
+    prog = parse_program("movq rdi, rax\nsubq 1, rax\nandq rdi, rax")
+    tier_ups = COUNTERS.tier_ups
+    assert _counted_costs(testcases, prog) == (1, 0)
+    assert COUNTERS.tier_ups == tier_ups + 3
+    _assert_lanes_match_reference(prog, testcases)
 
 
-def test_uncompilable_step_falls_back():
-    _bench, testcases = _suite("p01", count=4)
-    prog = parse_program("movq rdi, rax\nmovl 3, ecx\nshrq cl, rax")
-    _warm(prog)
-    assert _counted_costs(testcases, prog) == (0, 1)
+# -- runtime zero tests ------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+#: rax in the three testcases of a zero-test suite.
+_RAX = (0x8000_0000_0000_0001, 0x0123_4567_89AB_CDEF, 0xFFFF_FFFF_FFFF_FFF0)
+
+
+def _zero_test_suite(**columns):
+    """Three testcases with rax from :data:`_RAX`, rdx 0, rcx 0 and
+    rsi 1, except for the registers given one value per testcase."""
+    rows = [{"rax": rax, "rdx": 0, "rcx": 0, "rsi": 1} for rax in _RAX]
+    for name, values in columns.items():
+        for row, value in zip(rows, values, strict=True):
+            row[name] = value & _M64
+    return [Testcase(input_regs=tuple(sorted(row.items())),
+                     input_memory=(), expected_regs=(("rax", 1),),
+                     expected_memory=(), valid_addresses=frozenset())
+            for row in rows]
+
+
+#: (program, testcase columns, whether the lanes carry it): the tested
+#: value zero in every lane, in no lane, and in some lanes only.
+ZERO_TESTS = {
+    "shrq-count-zero-everywhere": ("shrq cl, rax", {"rcx": (0, 64, 128)},
+                                   True),
+    "shrq-count-zero-nowhere": ("shrq cl, rax", {"rcx": (1, 63, 65)}, True),
+    "shrq-count-zero-somewhere": ("shrq cl, rax", {"rcx": (64, 3, 0)},
+                                  False),
+    "rolb-count-zero-everywhere": ("rolb cl, al", {"rcx": (0, 8, 16)}, True),
+    "rolb-count-zero-nowhere": ("rolb cl, al", {"rcx": (1, 7, 9)}, True),
+    "rolb-count-zero-somewhere": ("rolb cl, al", {"rcx": (8, 3, 0)}, False),
+    "divq-divisor-zero-everywhere": ("divq rsi", {"rsi": (0, 0, 0)}, True),
+    "divq-divisor-zero-nowhere": ("divq rsi", {"rsi": (3, 7, 1 << 63)},
+                                  True),
+    "divq-divisor-zero-somewhere": ("divq rsi", {"rsi": (3, 0, 7)}, False),
+    "divq-overflow-everywhere": ("divq rsi", {"rsi": (5, 2, 3),
+                                              "rdx": (5, 9, 7)}, True),
+    "divq-overflow-somewhere": ("divq rsi", {"rsi": (5, 2, 3),
+                                             "rdx": (0, 9, 1)}, False),
+    "idivq-divisor-zero-everywhere": ("idivq rsi", {"rsi": (0, 0, 0)},
+                                      True),
+    "idivq-divisor-zero-nowhere": ("idivq rsi", {"rsi": (3, 7, -5)}, True),
+    "idivq-divisor-zero-somewhere": ("idivq rsi", {"rsi": (3, 0, 7)},
+                                     False),
+    "idivq-overflow-everywhere": ("idivq rsi", {"rax": (1 << 63, 0, 5),
+                                                "rdx": (-1, 1, 1),
+                                                "rsi": (-1, 1, 1)}, True),
+    "idivq-overflow-somewhere": ("idivq rsi", {"rdx": (1, 0, 0),
+                                               "rsi": (1, 1, 3)}, False),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_TESTS.values(), ids=ZERO_TESTS)
+def test_runtime_zero_tests_dispatch_or_fall_back(case, cold_caches):
+    """Zero in every lane or in none runs as lanes, equal to the
+    reference in every lane; a mix falls back to one testcase at a
+    time on the same code, with the reference's costs."""
+    text, columns, carried = case
+    testcases = _zero_test_suite(**columns)
+    prog = parse_program(text)
+    misses = COUNTERS.lane_misses
+    assert _counted_costs(testcases, prog) == \
+        ((1, 0) if carried else (0, 1))
+    assert COUNTERS.lane_misses == misses + (not carried)
+    if carried:
+        _assert_lanes_match_reference(prog, testcases)
+    for testcase in testcases:
+        reference = testcase.initial_state()
+        Emulator(reference, testcase.sandbox()).run(prog)
+        compiled = testcase.initial_state()
+        compile_program(prog).run(compiled, testcase.sandbox())
+        assert _snapshot(compiled) == _snapshot(reference), str(testcase)
+
+
+def test_zero_count_over_undefined_flags_reads_no_flag():
+    """A zero count leaves the flags alone without reading them, so
+    flags that were never defined count no undefined-flag event."""
+    testcases = _zero_test_suite(rcx=(0, 64, 128))
+    prog = parse_program("shrq cl, rax\nrorl cl, esi")
+    lanes = _pack(testcases)
+    assert not any(lanes.proto.flag_defined.values())
+    packed = lanes.run(compile_program(prog, lanes.layout)
+                       .lane_steps(lanes.layout))
+    assert packed.events.undef == 0
+    _assert_lanes_match_reference(prog, testcases)
 
 
 def test_program_with_jumps_falls_back():
@@ -444,7 +511,6 @@ def test_program_with_jumps_falls_back():
         .L1
         andq rdi, rax
     """)
-    _warm(prog)
     assert _counted_costs(testcases, prog) == (0, 1)
 
 
@@ -455,7 +521,6 @@ def test_counterexample_appended_mid_chain_repacks_the_suite():
     compiled = CostFunction(testcases[:3], bench.o0)
     reference = CostFunction(testcases[:3], bench.o0, evaluator="reference")
     prog = bench.gcc
-    _warm(prog)
     for cost in (compiled, reference):
         cost.evaluate(prog)
         assert cost.add_testcase(testcases[3])
@@ -466,7 +531,6 @@ def test_counterexample_appended_mid_chain_repacks_the_suite():
     assert compiled._fail_counts == reference._fail_counts
 
     memory_prog = parse_program("movq (rdi), rax")
-    _warm(memory_prog)
     suite = _pointer_suite([0x4000, 0x4000, 0x5000])
     compiled = CostFunction(suite[:2], memory_prog)
     assert compiled._lane_suite() is not None
@@ -487,7 +551,6 @@ def test_suite_checking_different_outputs_scores_lane_by_lane():
         expected_regs=(("rcx", 5),), expected_memory=(),
         valid_addresses=testcases[1].valid_addresses)
     prog = parse_program("movq (rdi), rax\nmovq rsi, rcx")
-    _warm(prog)
     assert _counted_costs(testcases, prog) == (1, 0)
 
 
@@ -504,7 +567,6 @@ class _HighBitsTerm(CostTerm):
 def test_terms_without_lane_scoring_read_each_lane():
     _bench, testcases = _suite("p01", count=5)
     target = parse_program("movq rdi, rax\nshlq 2, rax")
-    _warm(target)
     costs = []
     runs = COUNTERS.lane_runs
     for evaluator in ("compiled", "reference"):
