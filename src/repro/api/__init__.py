@@ -26,9 +26,9 @@ Quickstart::
 
 from repro.api.session import Result, Session
 from repro.api.targets import Target, parse_registers
-from repro.cost.terms import (EVALUATORS, CostSpec, CostTerm,
-                              TermContext, available_cost_terms,
-                              make_cost_term, register_cost_term)
+from repro.cost.terms import (CostSpec, CostTerm, TermContext,
+                              available_cost_terms, make_cost_term,
+                              register_cost_term)
 from repro.engine.budget import (BudgetSpec, available_budgets,
                                  register_budget)
 from repro.engine.campaign import EngineOptions
@@ -42,7 +42,7 @@ from repro.search.strategies import (SearchStrategy, StrategySpec,
                                      register_strategy)
 
 __all__ = ["BudgetSpec", "CostSpec", "CostTerm",
-           "CounterexampleSuite", "EVALUATORS", "EngineOptions",
+           "CounterexampleSuite", "EngineOptions",
            "MinimizeResult", "MinimizeSpec", "Minimizer", "Result",
            "SearchConfig", "SearchStrategy", "Session", "StrategySpec",
            "Target", "TermContext", "available_budgets",

@@ -15,7 +15,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.targets import Target
@@ -24,7 +24,6 @@ from repro.engine.campaign import (Campaign, CampaignResult,
                                    EngineOptions)
 from repro.engine.checkpoint import CheckpointStore
 from repro.minimize.driver import Minimizer, MinimizeResult
-from repro.minimize.spec import MinimizeSpec
 from repro.perfsim.model import actual_runtime
 from repro.search.config import SearchConfig
 from repro.search.strategies import StrategySpec
@@ -120,17 +119,8 @@ class Session:
             a fresh :class:`Validator`, pass None to skip validation.
         engine: execution options — worker count, checkpoint
             directory, chain budget (``fixed`` / ``adaptive:stable=K``),
-            and a live progress listener.
-        evaluator: how candidates execute in the inner loop —
-            ``"compiled"`` (default) or ``"reference"``; overrides any
-            ``evaluator=`` token in the cost spec. Results are
-            bit-identical either way; only throughput differs.
-        minimize: shrink the winning rewrite before the result is
-            built — True for the default pass list, a spec string
-            (comma-separated pass names) or
-            :class:`~repro.minimize.spec.MinimizeSpec` to select
-            passes, False/None to leave winners as found. Overrides
-            ``engine.minimize`` when set.
+            winner minimization (``minimize=True``) and a live progress
+            listener.
     """
 
     def __init__(self, target: Target, *,
@@ -138,18 +128,15 @@ class Session:
                  cost: CostSpec | str | None = None,
                  strategy: StrategySpec | str | None = None,
                  validator: Validator | None | object = _DEFAULT_VALIDATOR,
-                 engine: EngineOptions | None = None,
-                 evaluator: str | None = None,
-                 minimize: MinimizeSpec | str | bool | None = None) -> None:
+                 engine: EngineOptions | None = None) -> None:
         self.target = target
         self.config = config or SearchConfig()
-        self.cost = CostSpec.parse(cost).with_evaluator(evaluator)
+        self.cost = CostSpec.parse(cost)
         self.strategy = StrategySpec.parse(strategy)
         if validator is _DEFAULT_VALIDATOR:
             validator = Validator()
         self.validator = validator
         self.engine = engine
-        self.minimize = minimize
 
     def campaign(self) -> Campaign:
         """The assembled campaign, not yet running.
@@ -159,14 +146,11 @@ class Session:
         shared pool; :meth:`wrap` turns the outcome back into a
         :class:`Result`.
         """
-        options = self.engine or EngineOptions()
-        if self.minimize is not None and self.minimize is not False:
-            options = replace(options, minimize=self.minimize)
         return Campaign(
             self.target.program, self.target.spec, self.target.annotations,
             config=self.config, validator=self.validator,
-            options=options, cost=self.cost, strategy=self.strategy,
-            name=self.target.name)
+            options=self.engine or EngineOptions(), cost=self.cost,
+            strategy=self.strategy, name=self.target.name)
 
     def run(self) -> Result:
         """Execute the campaign and wrap its outcome."""

@@ -153,14 +153,6 @@ class Function:
     body: tuple[Stmt, ...]
     outputs: tuple[Output, ...]
 
-    def var_width(self, default: int = 32) -> dict[str, int]:
-        """Best-effort widths for variables (params + inference)."""
-        widths = {p.name: p.width for p in self.params}
-        for stmt in self.body:
-            if isinstance(stmt, Assign) and stmt.name not in widths:
-                widths[stmt.name] = default
-        return widths
-
 
 #: System V AMD64 integer argument registers, by 64-bit name.
 SYSV_ARG_REGS = ("rdi", "rsi", "rdx", "rcx", "r8", "r9")

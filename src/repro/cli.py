@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.api.session import Result, Session
 from repro.api.targets import Target
-from repro.cost.terms import EVALUATORS, available_cost_terms
+from repro.cost.terms import available_cost_terms
 from repro.engine.budget import BudgetSpec, available_budgets
 from repro.engine.campaign import EngineOptions
 from repro.engine.events import format_event
@@ -163,8 +163,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     session = Session(target,
                       config=_search_config(args, len(target.program)),
                       cost=args.cost, strategy=args.strategy,
-                      engine=_engine_options(args),
-                      evaluator=args.evaluator)
+                      engine=_engine_options(args))
     return _report(session.run(), args.json)
 
 
@@ -175,8 +174,7 @@ def _cmd_optimize_file(args: argparse.Namespace) -> int:
     session = Session(target,
                       config=_search_config(args, len(target.program)),
                       cost=args.cost, strategy=args.strategy,
-                      engine=_engine_options(args),
-                      evaluator=args.evaluator)
+                      engine=_engine_options(args))
     return _report(session.run(), args.json)
 
 
@@ -279,8 +277,7 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
         rows = evaluate_campaign(benches, seed=args.seed,
                                  synthesis=args.synthesis,
                                  chains=args.chains,
-                                 engine_for=engine_for,
-                                 evaluator=args.evaluator)
+                                 engine_for=engine_for)
         for outcome in rows:
             _emit_line(outcome.row(), sys.stdout)
     else:
@@ -289,8 +286,7 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
             outcome = evaluate_benchmark(bench, seed=args.seed + index,
                                          synthesis=args.synthesis,
                                          chains=args.chains,
-                                         engine=engine_for(bench),
-                                         evaluator=args.evaluator)
+                                         engine=engine_for(bench))
             rows.append(outcome)
             _emit_line(outcome.row(), sys.stdout)
     improved = sum(1 for row in rows if row.stoke_speedup > 1.0)
@@ -466,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--synthesis", action="store_true",
                           help="also run the synthesis phase")
     campaign.add_argument(
-        "--evaluator", default=None, choices=sorted(EVALUATORS),
-        help="inner-loop candidate evaluator (default: compiled)")
-    campaign.add_argument(
         "--progress", action="store_true",
         help="stream live per-chain progress events to stderr")
     campaign.add_argument(
@@ -542,10 +535,6 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         "--strategy", default=None,
         help="search strategy "
              f"(available: {', '.join(available_strategies())})")
-    parser.add_argument(
-        "--evaluator", default=None, choices=sorted(EVALUATORS),
-        help="inner-loop candidate evaluator (default: compiled; "
-             "results are identical, only throughput differs)")
     parser.add_argument("--json", action="store_true",
                         help="print the result as JSON")
 

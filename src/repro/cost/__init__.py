@@ -5,13 +5,12 @@ from repro.cost.correctness import (CostWeights, err_penalty,
                                     testcase_cost)
 from repro.cost.function import CostFunction, CostResult, Phase
 from repro.cost.performance import perf_term, target_latency
-from repro.cost.terms import (DEFAULT_EVALUATOR, EVALUATORS, CostSpec,
-                              CostTerm, TermContext,
+from repro.cost.terms import (CostSpec, CostTerm, TermContext,
                               available_cost_terms, make_cost_term,
                               register_cost_term)
 
 __all__ = ["CostFunction", "CostResult", "CostSpec", "CostTerm",
-           "CostWeights", "DEFAULT_EVALUATOR", "EVALUATORS", "Phase",
+           "CostWeights", "Phase",
            "TermContext", "available_cost_terms",
            "err_penalty", "improved_distance", "make_cost_term",
            "perf_term", "register_cost_term", "strict_distance",

@@ -15,12 +15,12 @@ computation of Section 4.5: evaluation stops as soon as the running
 cost exceeds the precomputed acceptance bound (Eq. 14). Two refinements
 sharpen that loop:
 
-* candidates run on a selectable *evaluator* — ``compiled`` (default)
-  lowers the rewrite once via :mod:`repro.emulator.compile` and runs
-  it over the whole suite at once, one testcase per lane of a packed
-  state (:mod:`repro.emulator.lanes`); ``reference`` is the original
-  per-testcase interpreter. Both produce bit-identical states and
-  therefore identical costs;
+* candidates are lowered once via :mod:`repro.emulator.compile` and
+  run over the whole suite at once, one testcase per lane of a packed
+  state (:mod:`repro.emulator.lanes`). ``evaluator="reference"``
+  runs the original per-testcase interpreter instead; it is the oracle
+  the compiled path is tested against, not a product setting. Both
+  produce bit-identical states and therefore identical costs;
 * testcases are visited most-discriminating-first, ordered by a
   deterministic per-testcase failure counter, so the Eq. 14 bound is
   usually exceeded within the first few testcases. Accept/reject
@@ -31,8 +31,9 @@ A lane run scores every testcase, and the evaluator then replays those
 per-testcase costs in visit order, so the Eq. 14 cut,
 ``testcases_evaluated`` and the failure counters come out exactly as
 if the testcases had run one by one. A candidate the lanes cannot
-carry (a step that still interprets, a jump, lanes that disagree on a
-memory access) and any suite :meth:`LaneSuite.pack` refuses run one
+carry — one with a jump, or one whose lane run raises ``LaneMiss``
+(lanes that disagree on a memory address, or a runtime zero test that
+splits them) — and any suite :meth:`LaneSuite.pack` refuses run one
 testcase at a time from fresh initial states, on the same compiled
 steps.
 """
@@ -46,7 +47,7 @@ from typing import Sequence
 
 from repro.cost.correctness import CostWeights
 from repro.cost.terms import (CostTerm, DEFAULT_COST_TERMS, CostSpec,
-                              DEFAULT_EVALUATOR, EVALUATORS, TermContext)
+                              TermContext)
 from repro.emulator.compile import COUNTERS, compile_program
 from repro.emulator.cpu import Emulator
 from repro.emulator.lanes import LaneSuite
@@ -101,8 +102,9 @@ class CostFunction:
     c = eq + perf exactly. Terms are bound to this function's target
     here, so instances must not be shared between cost functions.
 
-    ``evaluator`` selects how candidates execute: ``"compiled"``
-    (default) or ``"reference"``; see the module docstring.
+    ``evaluator="reference"`` runs candidates on the reference
+    interpreter, the oracle for the default ``"compiled"`` path; see
+    the module docstring.
     """
 
     def __init__(self, testcases: Sequence[Testcase], target: Program, *,
@@ -111,16 +113,15 @@ class CostFunction:
                  improved: bool = True,
                  max_steps: int = 10_000,
                  terms: Sequence[tuple[float, CostTerm]] | None = None,
-                 evaluator: str = DEFAULT_EVALUATOR) -> None:
+                 evaluator: str = "compiled") -> None:
         self.testcases = list(testcases)
         self.weights = weights or CostWeights()
         self.improved = improved
         self.phase = phase
         self.max_steps = max_steps
-        if evaluator not in EVALUATORS:
-            raise SearchError(
-                f"unknown evaluator {evaluator!r} "
-                f"(available: {', '.join(sorted(EVALUATORS))})")
+        if evaluator not in ("compiled", "reference"):
+            raise SearchError(f"unknown evaluator {evaluator!r} "
+                              "(available: compiled, reference)")
         self.evaluator = evaluator
         # the suite packed into lanes, built on first use and again
         # after a counterexample is appended; None when lanes cannot

@@ -214,13 +214,6 @@ register_cost_term("perfsim-cycles", PerfsimCyclesTerm)
 
 DEFAULT_COST_TERMS = (("correctness", 1.0), ("latency", 1.0))
 
-EVALUATORS = frozenset({"compiled", "reference"})
-"""How candidates execute in the testcase loop: ``compiled`` lowers the
-rewrite once per candidate (:mod:`repro.emulator.compile`); ``reference``
-interprets it per testcase. Results are bit-identical either way."""
-
-DEFAULT_EVALUATOR = "compiled"
-
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -229,14 +222,10 @@ class CostSpec:
     This is the serializable description of a cost function — the form
     carried by ``--cost`` flags, shipped to worker processes, and
     frozen into checkpoint manifests — resolved against the term
-    registry only when a :class:`CostFunction` is actually built. The
-    spec also carries the *evaluator* choice (``evaluator=reference``
-    in the flag grammar), so worker processes and resumed campaigns
-    execute candidates the same way the original run did.
+    registry only when a :class:`CostFunction` is actually built.
     """
 
     terms: tuple[tuple[str, float], ...] = DEFAULT_COST_TERMS
-    evaluator: str = DEFAULT_EVALUATOR
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -250,35 +239,22 @@ class CostSpec:
                 raise RegistryError(
                     f"cost term {name!r} needs a positive weight, "
                     f"got {weight}")
-        if self.evaluator not in EVALUATORS:
-            raise RegistryError(
-                unknown_name_message("evaluator", self.evaluator,
-                                     EVALUATORS))
 
     @classmethod
     def parse(cls, text: str | CostSpec | None) -> CostSpec:
-        """Parse ``"correctness,latency:2[,evaluator=reference]"``.
+        """Parse ``"correctness,latency:2"``.
 
-        Term names (and the evaluator) are validated immediately so a
-        typo fails at the flag, not thousands of proposals later.
-        Weights default to 1.
+        Term names are validated immediately so a typo fails at the
+        flag, not thousands of proposals later. Weights default to 1.
         """
         if text is None:
             return cls()
         if isinstance(text, CostSpec):
             return text
         terms: list[tuple[str, float]] = []
-        evaluator = DEFAULT_EVALUATOR
         for part in text.split(","):
             part = part.strip()
             if not part:
-                continue
-            if part.startswith("evaluator="):
-                evaluator = part.removeprefix("evaluator=").strip()
-                if evaluator not in EVALUATORS:
-                    raise RegistryError(
-                        unknown_name_message("evaluator", evaluator,
-                                             EVALUATORS))
                 continue
             name, _, weight_text = part.partition(":")
             name = name.strip()
@@ -297,7 +273,7 @@ class CostSpec:
             terms.append((name, weight))
         if not terms:
             raise RegistryError("a cost spec needs at least one term")
-        return cls(terms=tuple(terms), evaluator=evaluator)
+        return cls(terms=tuple(terms))
 
     def spec_string(self) -> str:
         """The canonical flag/manifest form (defaults are implicit)."""
@@ -307,15 +283,7 @@ class CostSpec:
                 parts.append(name)
             else:
                 parts.append(f"{name}:{weight:g}")
-        if self.evaluator != DEFAULT_EVALUATOR:
-            parts.append(f"evaluator={self.evaluator}")
         return ",".join(parts)
-
-    def with_evaluator(self, evaluator: str | None) -> "CostSpec":
-        """This spec with the evaluator replaced (None keeps it)."""
-        if evaluator is None or evaluator == self.evaluator:
-            return self
-        return CostSpec(terms=self.terms, evaluator=evaluator)
 
     def instantiate(self) -> list[tuple[float, CostTerm]]:
         """Fresh, unbound term instances with their weights."""

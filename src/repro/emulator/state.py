@@ -93,10 +93,6 @@ class MachineState:
         reg = lookup(name)
         return self.regs[reg.full] & ((1 << reg.width) - 1)
 
-    def set_flag(self, name: str, value: int) -> None:
-        self.flags[name] = 1 if value else 0
-        self.flag_defined[name] = True
-
     def set_mem_bytes(self, addr: int, data: bytes) -> None:
         for i, byte in enumerate(data):
             self.memory[(addr + i) & ((1 << 64) - 1)] = byte

@@ -29,8 +29,7 @@ from repro.engine.executor import (ProcessPoolExecutor, SerialExecutor,
 from repro.engine.jobs import (ChainJob, JobResult, OPTIMIZATION,
                                SYNTHESIS)
 from repro.engine.remote import RemoteExecutor, run_worker
-from repro.engine.scheduler import (interleave_rounds,
-                                    optimization_jobs,
+from repro.engine.scheduler import (optimization_jobs,
                                     optimization_rounds, synthesis_jobs)
 from repro.engine.sweep import KernelSchedule, run_campaigns
 from repro.engine.worker import CampaignContext, run_chain_job
@@ -42,7 +41,7 @@ __all__ = ["BudgetSpec", "Campaign", "CampaignContext",
            "RemoteExecutor", "SYNTHESIS", "SerialExecutor",
            "StoppingRule", "available_budgets", "best_signature",
            "dedup_programs", "final_ranking", "follow_events",
-           "format_event", "interleave_rounds", "iter_events",
+           "format_event", "iter_events",
            "make_executor", "merge_testcases", "optimization_jobs",
            "optimization_rounds", "read_events", "register_budget",
            "run_campaigns", "run_chain_job", "run_worker",

@@ -81,8 +81,7 @@ def final_ranking(target: Program, config: SearchConfig,
                            phase=Phase.OPTIMIZATION,
                            weights=config.weights,
                            improved=config.improved_cost,
-                           terms=spec.instantiate(),
-                           evaluator=spec.evaluator)
+                           terms=spec.instantiate())
     pool = dedup_programs([program for result in results
                            for program in result.verified])
     candidates = [(_cost(cost_fn, program), program)

@@ -79,7 +79,7 @@ class EngineOptions:
             policy is frozen in the checkpoint manifest (v4) so a
             resume cannot silently switch schedulers.
         minimize: shrink each kernel's winning rewrite after the
-            campaign aggregates — a
+            campaign aggregates — True for the default pass list, a
             :class:`~repro.minimize.spec.MinimizeSpec`, its spec
             string (a comma-separated pass list, or ``"default"``), or
             None/False to leave winners as found. The policy is frozen

@@ -28,8 +28,8 @@ them is rejected:
   exactly these.
 * ``config`` — the search configuration; it fixes the job plan and
   every chain's seed.
-* ``cost`` — the cost-spec string, including its ``evaluator=``
-  choice, so a resume cannot re-search under another cost function.
+* ``cost`` — the cost-spec string, so a resume cannot re-search under
+  another cost function.
 * ``strategy`` — the chain exploration strategy, for the same reason.
 * ``budget`` — the stopping rule. An adaptive campaign's journal holds
   only the chains its rule scheduled; another rule would re-decide

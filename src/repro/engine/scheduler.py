@@ -15,23 +15,18 @@ simply stop consuming the generator once the ranking has stabilized.
 tests) is defined as the concatenation of those rounds, so the two
 views can never disagree about ids or seeds.
 
-Since the cross-kernel work a *sweep* of many kernels shares one
-worker pool: :func:`interleave_rounds` is the fair-share round-robin
-merge of every kernel's round generator — the pure specification of
-the grant order the cross-kernel scheduler (:mod:`repro.engine.sweep`)
-applies, so no kernel's tail monopolizes the pool while finished
-kernels' slots sit idle. (The sweep driver implements the rotation
-inline, because real grants are additionally gated by budget
-decisions and per-round barriers; this function is the ungated model
-it must agree with, and what the docs and tests exercise.)
-Interleaving only reorders *grants* across kernels — each kernel's
-own rounds keep their plan order, ids, and seeds — which is why an
-interleaved campaign is bit-identical to a sequential one.
+A *sweep* of many kernels shares one worker pool: the cross-kernel
+driver (:mod:`repro.engine.sweep`) takes rounds from every kernel's
+generator in fair-share rotation, so no kernel's tail monopolizes the
+pool while finished kernels' slots sit idle. Interleaving only
+reorders *grants* across kernels — each kernel's own rounds keep their
+plan order, ids, and seeds — which is why an interleaved campaign is
+bit-identical to a sequential one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterator
 
 from repro.engine.jobs import ChainJob, OPTIMIZATION, SYNTHESIS
 from repro.search.config import SearchConfig
@@ -82,31 +77,3 @@ def optimization_jobs(config: SearchConfig,
     """The full optimization plan: chains x starting programs."""
     return [job for round_jobs in optimization_rounds(config, starts)
             for job in round_jobs]
-
-
-Round = TypeVar("Round")
-
-
-def interleave_rounds(sources: list[tuple[str, Iterable[Round]]]) \
-        -> Iterator[tuple[str, Round]]:
-    """Round-robin (fair-share) merge of per-kernel round generators.
-
-    Yields ``(kernel, round)`` pairs by cycling through the kernels in
-    list order, taking one round from each generator that still has
-    one; exhausted kernels drop out of the rotation. Every kernel's
-    rounds appear in their original order, so interleaving changes
-    *when* a round is granted, never *which* rounds exist — the
-    property that keeps interleaved campaigns bit-identical to
-    sequential ones.
-    """
-    active = [(kernel, iter(rounds)) for kernel, rounds in sources]
-    while active:
-        still_active = []
-        for kernel, rounds in active:
-            try:
-                round_jobs = next(rounds)
-            except StopIteration:
-                continue
-            still_active.append((kernel, rounds))
-            yield kernel, round_jobs
-        active = still_active

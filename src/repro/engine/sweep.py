@@ -7,10 +7,7 @@ a single slow kernel's tail while finished kernels' slots sit idle.
 This module runs a whole sweep as *one* pool of jobs, granting chain
 rounds to kernels in round-robin (fair-share) order, gated by each
 kernel's budget rule, so the pool stays saturated until every kernel
-stops. (:func:`repro.engine.scheduler.interleave_rounds` is the pure,
-ungated specification of that rotation — the driver below implements
-the same discipline inline because grants also depend on budget
-decisions and in-flight barriers.)
+stops.
 
 Determinism survives interleaving because nothing a kernel computes
 depends on any other kernel: each kernel's rounds keep their plan
@@ -637,8 +634,9 @@ def run_campaigns(campaigns: list[Campaign], *,
     kernel), then blocks for one completed job and feeds it back to
     its schedule — so slow kernels' rounds interleave with fast ones'
     instead of serializing behind them. Results return in input
-    order; every campaign must share one worker count, and kernel
-    names must be unique (they key the shared pool's contexts).
+    order; every campaign must share the pool-wide settings (worker
+    count, ``--workers``, retry policy, fault plan), and kernel names
+    must be unique (they key the shared pool's contexts).
 
     ``executor_factory`` overrides executor selection: it receives the
     per-kernel contexts and returns any object speaking the
@@ -663,31 +661,21 @@ def run_campaigns(campaigns: list[Campaign], *,
     """
     if not campaigns:
         return []
-    jobs = campaigns[0].options.jobs
-    for campaign in campaigns:
-        if campaign.options.jobs != jobs:
+    # one sweep runs over one executor and one shared next_result()
+    # wait: half the kernels cannot be distributed while the rest stay
+    # local, nor can one wait honor two deadline/retry disciplines
+    first = campaigns[0].options
+    for setting, name in (("jobs", "a worker count"),
+                          ("workers", "a --workers count"),
+                          ("retry_policy", "a retry policy"),
+                          ("faults", "a fault plan")):
+        value = getattr(first, setting)
+        if any(getattr(campaign.options, setting) != value
+               for campaign in campaigns):
             raise EngineError(
-                "all campaigns in one sweep must share a worker count")
-    workers = campaigns[0].options.workers
-    for campaign in campaigns:
-        if campaign.options.workers != workers:
-            # one sweep runs over one executor; half the kernels
-            # cannot be distributed while the rest stay local
-            raise EngineError(
-                "all campaigns in one sweep must share a --workers "
-                "count")
-    policy = campaigns[0].options.retry_policy
-    for campaign in campaigns:
-        if campaign.options.retry_policy != policy:
-            # the deadline/retry discipline is pool-global: one shared
-            # next_result() wait cannot honor two different timeouts
-            raise EngineError(
-                "all campaigns in one sweep must share a retry policy")
-    faults = campaigns[0].options.faults
-    for campaign in campaigns:
-        if campaign.options.faults != faults:
-            raise EngineError(
-                "all campaigns in one sweep must share a fault plan")
+                f"all campaigns in one sweep must share {name}")
+    jobs, workers = first.jobs, first.workers
+    policy, faults = first.retry_policy, first.faults
     if len(campaigns) > 1 and not all(c.options.interleave
                                       for c in campaigns):
         # a multi-kernel sweep IS the round-robin scheduler; running

@@ -107,8 +107,7 @@ def run_chain_job(context: CampaignContext, job: ChainJob) -> Json:
         context.testcases, context.target,
         phase=Phase.SYNTHESIS if synthesis else Phase.OPTIMIZATION,
         weights=config.weights, improved=config.improved_cost,
-        terms=context.cost.instantiate(),
-        evaluator=context.cost.evaluator)
+        terms=context.cost.instantiate())
     strategy = context.strategy.build()
     if synthesis:
         phase = SynthesisPhase(context.target, context.spec, cost_fn,

@@ -20,7 +20,7 @@ closes the paper's validation loop across runs — in three layers:
 failures against an arbitrary failure predicate.
 
 See ``docs/MINIMIZE.md`` for the dataflow and the CLI/API surfaces
-(``repro minimize``, ``Session(minimize=...)``).
+(``repro minimize``, ``EngineOptions(minimize=True)``).
 """
 
 from repro.minimize.cegis import CounterexampleSuite, suite_path

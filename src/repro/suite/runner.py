@@ -105,8 +105,7 @@ class BenchmarkOutcome:
 
 
 def _session(bench: Benchmark, *, seed: int, synthesis: bool,
-             chains: int, engine: EngineOptions | None,
-             evaluator: str | None):
+             chains: int, engine: EngineOptions | None):
     """The assembled :class:`Session` for one benchmark's O0 target."""
     from repro.api.session import Session
     from repro.api.targets import Target
@@ -115,23 +114,20 @@ def _session(bench: Benchmark, *, seed: int, synthesis: bool,
     return Session(
         Target(program=bench.o0, spec=bench.spec,
                annotations=bench.annotations, name=bench.name),
-        config=config, validator=Validator(), engine=engine,
-        evaluator=evaluator)
+        config=config, validator=Validator(), engine=engine)
 
 
 def run_stoke(bench: Benchmark, *, seed: int = 0,
               synthesis: bool = False,
               chains: int = 1,
-              engine: EngineOptions | None = None,
-              evaluator: str | None = None) -> CampaignResult:
+              engine: EngineOptions | None = None) -> CampaignResult:
     """Run the full pipeline on one benchmark's O0 target.
 
     Runs through :class:`Session`, naming the target after the kernel
     so progress events carry its name.
     """
     return _session(bench, seed=seed, synthesis=synthesis,
-                    chains=chains, engine=engine,
-                    evaluator=evaluator).run().stoke
+                    chains=chains, engine=engine).run().stoke
 
 
 def _outcome(bench: Benchmark,
@@ -162,21 +158,18 @@ def _outcome(bench: Benchmark,
 def evaluate_benchmark(bench: Benchmark, *, seed: int = 0,
                        synthesis: bool = False,
                        chains: int = 1,
-                       engine: EngineOptions | None = None,
-                       evaluator: str | None = None) \
+                       engine: EngineOptions | None = None) \
         -> BenchmarkOutcome:
     """Measure the Figure 10 column for one kernel."""
     result = run_stoke(bench, seed=seed, synthesis=synthesis,
-                       chains=chains, engine=engine,
-                       evaluator=evaluator)
+                       chains=chains, engine=engine)
     return _outcome(bench, result)
 
 
 def evaluate_campaign(benches: list[Benchmark], *, seed: int = 0,
                       synthesis: bool = False, chains: int = 1,
                       engine_for: Callable[[Benchmark],
-                                           EngineOptions] | None = None,
-                      evaluator: str | None = None) \
+                                           EngineOptions] | None = None) \
         -> list[BenchmarkOutcome]:
     """Measure many kernels as one interleaved, shared-pool campaign.
 
@@ -195,8 +188,7 @@ def evaluate_campaign(benches: list[Benchmark], *, seed: int = 0,
         lambda bench: EngineOptions(interleave=True))
     sessions = [
         _session(bench, seed=seed + index, synthesis=synthesis,
-                 chains=chains, engine=engine_for(bench),
-                 evaluator=evaluator)
+                 chains=chains, engine=engine_for(bench))
         for index, bench in enumerate(benches)]
     campaigns = [session.campaign() for session in sessions]
     results = run_campaigns(campaigns)

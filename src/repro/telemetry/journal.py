@@ -17,10 +17,10 @@ One ``chain`` record lands the moment a chain job completes (so an
 in-progress run is reportable live); the single ``campaign`` record
 lands at finalization with the plan-order merge of every chain; the
 single ``minimize`` record lands when the kernel's winning rewrite is
-shrunk (``repro minimize``, ``Session(minimize=...)``). A resumed run
-re-opens the journal and appends, and records are deduplicated by
-(kernel, job_id) so chains satisfied from the job journal are
-backfilled exactly once.
+shrunk (``repro minimize``, ``EngineOptions(minimize=True)``). A
+resumed run re-opens the journal and appends, and records are
+deduplicated by (kernel, job_id) so chains satisfied from the job
+journal are backfilled exactly once.
 
 :func:`metrics_document` folds the records into the one merged
 document ``repro engine report --json`` emits. Its ``runtime``

@@ -57,17 +57,6 @@ class Testcase:
             self.__dict__["_sandbox"] = box
         return box
 
-    @property
-    def output_width_bits(self) -> int:
-        """Total number of live-output bits this testcase checks."""
-        cached = self.__dict__.get("_output_width_bits")
-        if cached is None:
-            reg_bits = sum(lookup(name).width
-                           for name, _ in self.expected_regs)
-            cached = reg_bits + 8 * len(self.expected_memory)
-            self.__dict__["_output_width_bits"] = cached
-        return cached
-
 
 def build_reg_lookup(input_regs: dict[str, int]) -> dict[str, int]:
     """Full-register name -> value of its first view in ``input_regs``.

@@ -77,10 +77,6 @@ def to_signed(width: int, value: int) -> int:
     return (value & mask(width)) - ((value & sign_bit) << 1)
 
 
-def to_unsigned(width: int, value: int) -> int:
-    return value & mask(width)
-
-
 class IntAlgebra:
     """The concrete algebra: values are Python ints masked to width."""
 

@@ -418,10 +418,6 @@ def opcode(name: str) -> Opcode:
         raise UnknownOpcodeError(f"unknown opcode {name!r}") from None
 
 
-def opcodes_by_family(family: str) -> list[Opcode]:
-    return [op for op in OPCODES.values() if op.family == family]
-
-
 def check_operands(op: Opcode, operands: tuple[Operand, ...]) \
         -> tuple[Slot, ...]:
     """Validate operands against ``op``; return the matching signature.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 
 class RegClass(Enum):
@@ -136,8 +135,3 @@ def registers_of_width(width: int) -> tuple[Register, ...]:
     if width == 128:
         return XMM
     return gprs_of_width(width)
-
-
-def full_registers(regs: Iterable[Register]) -> set[str]:
-    """The set of full-register names underlying the given views."""
-    return {r.full for r in regs}

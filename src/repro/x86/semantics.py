@@ -279,10 +279,6 @@ def execute(instr: Instruction, m: Machine[V]) -> None:
         m.set_flag_undefined(name)
 
 
-def _op_width(instr: Instruction, i: int) -> int:
-    return instr.signature[i].width
-
-
 def _sem_nop(instr: Instruction, m: Machine[V]) -> None:
     return None
 

@@ -71,11 +71,16 @@ def test_optimize_json_report(capsys):
 
 
 def test_optimize_evaluator_flag(capsys):
-    code = cli.main(["optimize", "p01", "--evaluator", "reference",
-                     "--json"] + FAST_ARGS)
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["cost"] == "correctness,latency,evaluator=reference"
+    # the flag is retired: no subcommand accepts it
+    for argv in (["optimize", "p01"],
+                 ["optimize-file", "kernel.s", "--live-in", "rdi",
+                  "--live-out", "rax"],
+                 ["engine", "campaign", "p01"]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--evaluator", "reference"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --evaluator" \
+            in capsys.readouterr().err
 
 
 def test_optimize_file_end_to_end(tmp_path, capsys):

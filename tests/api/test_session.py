@@ -9,6 +9,8 @@ survive the trip through worker-process serialization).
 import dataclasses
 import json
 
+import pytest
+
 from repro.api.session import Session
 from repro.api.targets import Target
 from repro.engine.campaign import Campaign, EngineOptions
@@ -55,12 +57,16 @@ def test_result_is_json_serializable():
     assert payload["testcases_per_proposal"] > 0
 
 
-def test_session_evaluator_override_rides_the_cost_spec():
-    session = Session(Target.from_suite("p01"), config=CONFIG,
-                      evaluator="reference")
-    assert session.cost.evaluator == "reference"
-    assert session.cost.spec_string() == \
-        "correctness,latency,evaluator=reference"
+def test_session_takes_neither_evaluator_nor_minimize():
+    """The cost spec and ``EngineOptions`` are the one place for these
+    settings; the retired keywords fail loudly."""
+    target = Target.from_suite("p01")
+    with pytest.raises(TypeError):
+        Session(target, evaluator="reference")
+    with pytest.raises(TypeError):
+        Session(target, minimize=True)
+    session = Session(target, engine=EngineOptions(minimize=True))
+    assert session.campaign().options.minimize is not None
 
 
 def test_jobs2_bit_identical_with_nondefault_cost_and_strategy():

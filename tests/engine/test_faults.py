@@ -305,6 +305,14 @@ def test_sweep_rejects_mismatched_retry_policies():
         run_campaigns(campaigns)
 
 
+def test_sweep_rejects_mismatched_fault_plans():
+    campaigns = _campaigns(1)
+    object.__setattr__(campaigns[1].options, "faults",
+                       FaultPlan(seed=0, crash=0.5))
+    with pytest.raises(EngineError, match="share a fault plan"):
+        run_campaigns(campaigns)
+
+
 # -- the fault matrix: bit-identical rankings under injection -----------------
 
 FAULTS = ("faults:seed=0,crash=0.25,dup=0.25,corrupt=0.2",

@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine.budget import BudgetSpec
 from repro.engine.campaign import Campaign, EngineOptions
-from repro.engine.scheduler import interleave_rounds
+from repro.engine.events import KERNEL_GRANTED
 from repro.engine.sweep import run_campaigns
 from repro.errors import EngineError
 from repro.search.config import SearchConfig
@@ -75,23 +75,36 @@ def _run(jobs, budget, interleave):
     return _CACHE[cache_key]
 
 
-# -- the fair-share interleaver (pure) ----------------------------------------
+# -- the fair-share rotation --------------------------------------------------
 
-def test_interleave_rounds_is_fair_share():
-    merged = list(interleave_rounds([("a", ["a0", "a1", "a2"]),
-                                     ("b", ["b0"]),
-                                     ("c", ["c0", "c1"])]))
-    assert merged == [("a", "a0"), ("b", "b0"), ("c", "c0"),
-                      ("a", "a1"), ("c", "c1"), ("a", "a2")]
+def test_interleaved_sweep_grants_round_robin():
+    """The driver grants one round per still-running kernel per pass,
+    in sweep order, and each kernel's chains in plan order."""
+    granted = []
 
+    def listener(event):
+        if event.event == KERNEL_GRANTED and event.data["granted"]:
+            granted.append((event.kernel, event.data["chain"]))
 
-def test_interleave_rounds_preserves_per_kernel_order():
-    sources = [(name, [f"{name}{i}" for i in range(4)])
-               for name in ("x", "y")]
-    merged = list(interleave_rounds(sources))
-    for name, _ in sources:
-        assert [r for k, r in merged if k == name] == \
-            [f"{name}{i}" for i in range(4)]
+    names = ("p01", "p03", "p06")
+    campaigns = []
+    for index, name in enumerate(names):
+        bench = benchmark(name)
+        config = SearchConfig(ell=12, beta=1.0, seed=5 + index,
+                              optimization_proposals=200,
+                              optimization_restarts=2,
+                              optimization_chains=3,
+                              synthesis_chains=0,
+                              testcase_count=4)
+        options = EngineOptions(jobs=1, budget="wallclock:secs=3600",
+                                interleave=True, progress=listener)
+        campaigns.append(Campaign(bench.o0, bench.spec,
+                                  bench.annotations, config=config,
+                                  validator=Validator(),
+                                  options=options, name=name))
+    run_campaigns(campaigns)
+    assert granted == [(name, chain) for chain in range(3)
+                       for name in names]
 
 
 # -- the replay matrix --------------------------------------------------------
