@@ -77,34 +77,51 @@ def _run(jobs, budget, interleave):
 
 # -- the fair-share rotation --------------------------------------------------
 
-def test_interleaved_sweep_grants_round_robin():
-    """The driver grants one round per still-running kernel per pass,
-    in sweep order, and each kernel's chains in plan order."""
-    granted = []
+_GRANTS: list = []
 
-    def listener(event):
-        if event.event == KERNEL_GRANTED and event.data["granted"]:
-            granted.append((event.kernel, event.data["chain"]))
 
-    names = ("p01", "p03", "p06")
-    campaigns = []
-    for index, name in enumerate(names):
-        bench = benchmark(name)
-        config = SearchConfig(ell=12, beta=1.0, seed=5 + index,
-                              optimization_proposals=200,
-                              optimization_restarts=2,
-                              optimization_chains=3,
-                              synthesis_chains=0,
-                              testcase_count=4)
-        options = EngineOptions(jobs=1, budget="wallclock:secs=3600",
-                                interleave=True, progress=listener)
-        campaigns.append(Campaign(bench.o0, bench.spec,
-                                  bench.annotations, config=config,
-                                  validator=Validator(),
-                                  options=options, name=name))
-    run_campaigns(campaigns)
-    assert granted == [(name, chain) for chain in range(3)
-                       for name in names]
+def _granted():
+    """The (kernel, chain) grants of one interleaved jobs=1 sweep of
+    three kernels planning 3, 1 and 2 chains, in grant order."""
+    if not _GRANTS:
+        def listener(event):
+            if event.event == KERNEL_GRANTED and event.data["granted"]:
+                _GRANTS.append((event.kernel, event.data["chain"]))
+
+        campaigns = []
+        for index, (name, chains) in enumerate((("p01", 3), ("p03", 1),
+                                                ("p06", 2))):
+            bench = benchmark(name)
+            config = SearchConfig(ell=12, beta=1.0, seed=5 + index,
+                                  optimization_proposals=200,
+                                  optimization_restarts=2,
+                                  optimization_chains=chains,
+                                  synthesis_chains=0,
+                                  testcase_count=4)
+            options = EngineOptions(jobs=1, budget="wallclock:secs=3600",
+                                    interleave=True, progress=listener)
+            campaigns.append(Campaign(bench.o0, bench.spec,
+                                      bench.annotations, config=config,
+                                      validator=Validator(),
+                                      options=options, name=name))
+        run_campaigns(campaigns)
+    return _GRANTS
+
+
+def test_interleave_rounds_is_fair_share():
+    """The sweep driver grants one round per still-running kernel per
+    pass, in sweep order; a kernel out of rounds leaves the rotation."""
+    assert _granted() == [("p01", 0), ("p03", 0), ("p06", 0),
+                          ("p01", 1), ("p06", 1), ("p01", 2)]
+
+
+def test_interleave_rounds_preserves_per_kernel_order():
+    """Interleaving reorders grants across kernels, never a kernel's
+    own chains: each kernel's rounds are granted in plan order."""
+    grants = _granted()
+    for name, chains in (("p01", 3), ("p03", 1), ("p06", 2)):
+        assert [chain for kernel, chain in grants if kernel == name] == \
+            list(range(chains))
 
 
 # -- the replay matrix --------------------------------------------------------
