@@ -24,7 +24,7 @@ full result (programs, per-chain diagnostics) is on ``result.stoke``::
     session = Session(Target.from_suite("p01"),
                       config=SearchConfig(ell=12, beta=1.0,
                                           optimization_proposals=20_000),
-                      engine=EngineOptions(jobs=4))
+                      engine=EngineOptions(executor="pool:n=4"))
     result = session.run()
     print(result.stoke.rewrite, result.speedup)
 """

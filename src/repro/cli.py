@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.cli list                      # show the suite
     python -m repro.cli show mont                 # print a kernel's codegens
-    python -m repro.cli optimize p01 --proposals 40000 --jobs 4
+    python -m repro.cli optimize p01 --proposals 40000 --executor pool:n=4
     python -m repro.cli optimize p01 --cost correctness,latency:2 \\
         --strategy anneal
     python -m repro.cli optimize-file kernel.s --live-in rdi,rsi \\
@@ -13,11 +13,11 @@ Usage::
     python -m repro.cli minimize p01              # shrink, re-verified
     python -m repro.cli minimize p01 --rewrite rewrite.s --json
     python -m repro.cli speedups p01 p03 p06      # Figure 10 rows
-    python -m repro.cli engine campaign --jobs 8 --run-dir runs/sweep
-    python -m repro.cli engine campaign --jobs 8 --chains 8 \\
+    python -m repro.cli engine campaign --executor pool:n=8 --run-dir runs/sweep
+    python -m repro.cli engine campaign --executor pool:n=8 --chains 8 \\
         --budget adaptive:stable=2 --progress
     python -m repro.cli engine campaign p01 p03 --interleave \\
-        --workers 2 --job-timeout 30      # distributed (2 loopback workers)
+        --executor tcp:spawn=2 --job-timeout 30  # 2 loopback TCP workers
     python -m repro.cli engine worker --connect HOST:PORT  # join a campaign
     python -m repro.cli engine report runs/sweep     # run-dir analytics
     python -m repro.cli engine report runs/sweep/p01 --json
@@ -110,7 +110,7 @@ def _progress_listener(args: argparse.Namespace):
 
 
 def _engine_options(args: argparse.Namespace) -> EngineOptions:
-    return EngineOptions(jobs=args.jobs, run_dir=args.run_dir,
+    return EngineOptions(executor=args.executor, run_dir=args.run_dir,
                          resume=args.resume,
                          budget=BudgetSpec.parse(args.budget),
                          interleave=getattr(args, "interleave", False),
@@ -118,7 +118,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
                          harden=getattr(args, "harden", False),
                          job_timeout=getattr(args, "job_timeout", None),
                          retries=getattr(args, "retries", None),
-                         workers=getattr(args, "workers", 0),
                          faults=getattr(args, "faults", None),
                          progress=_progress_listener(args))
 
@@ -301,7 +300,8 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
     tail = (f", {quarantined} quarantined" if quarantined else "")
     _emit_line(
         f"campaign done: {improved}/{len(rows)} kernels improved "
-        f"(jobs={args.jobs}, budget={options.budget.spec_string()}, "
+        f"(executor={options.executor.spec_string()}, "
+        f"budget={options.budget.spec_string()}, "
         f"{'interleaved, ' if args.interleave else ''}"
         f"{format_rate(mean_pps)} proposals/s, "
         f"{mean_tpp:.2f} testcases/proposal, "
@@ -540,8 +540,13 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = in-process)")
+    parser.add_argument(
+        "--executor", default="serial", metavar="SPEC",
+        help="where chains run: serial (this process, the default), "
+             "pool:n=N (N >= 2 local worker processes) or tcp:spawn=N "
+             "(a TCP coordinator with N >= 1 loopback workers; remote "
+             "hosts can join with 'repro engine worker'); results are "
+             "bit-identical on every executor")
     parser.add_argument("--run-dir", default=None,
                         help="checkpoint directory for this run")
     parser.add_argument("--resume", action="store_true",
@@ -577,12 +582,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--retries", type=int, default=None, metavar="N",
         help="re-grants allowed per job after its first attempt "
              "before the job is quarantined (default: 3)")
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run the campaign over a TCP coordinator with N loopback "
-             "worker subprocesses instead of the local pool (requires "
-             "--jobs 1; remote hosts can join with 'repro engine "
-             "worker'; results are bit-identical at any count)")
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="inject deterministic executor faults for testing: "

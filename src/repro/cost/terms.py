@@ -20,9 +20,9 @@ New terms are added with :func:`register_cost_term`; a
 :class:`CostSpec` names terms (with optional weights) by registry key
 and is the form that travels through CLI flags, worker processes, and
 checkpoint manifests. Custom terms must be registered in every process
-that evaluates them: with ``--jobs N`` on platforms that spawn (rather
-than fork) workers, that means registering at import time of a module
-the workers also import.
+that evaluates them: with ``--executor pool:n=N`` on platforms that
+spawn (rather than fork) workers, that means registering at import
+time of a module the workers also import.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ from repro.engine.campaign import (Campaign, CampaignResult,
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.events import (EventLog, ProgressEvent, follow_events,
                                  format_event, iter_events, read_events)
-from repro.engine.executor import (ProcessPoolExecutor, SerialExecutor,
-                                   make_executor)
+from repro.engine.executor import (ExecutorSpec, ProcessPoolExecutor,
+                                   SerialExecutor, make_executor)
 from repro.engine.jobs import (ChainJob, JobResult, OPTIMIZATION,
                                SYNTHESIS)
 from repro.engine.remote import RemoteExecutor, run_worker
@@ -36,9 +36,9 @@ from repro.engine.worker import CampaignContext, run_chain_job
 
 __all__ = ["BudgetSpec", "Campaign", "CampaignContext",
            "CampaignResult", "ChainJob", "CheckpointStore",
-           "EngineOptions", "EventLog", "JobResult", "KernelSchedule",
-           "OPTIMIZATION", "ProcessPoolExecutor", "ProgressEvent",
-           "RemoteExecutor", "SYNTHESIS", "SerialExecutor",
+           "EngineOptions", "EventLog", "ExecutorSpec", "JobResult",
+           "KernelSchedule", "OPTIMIZATION", "ProcessPoolExecutor",
+           "ProgressEvent", "RemoteExecutor", "SYNTHESIS", "SerialExecutor",
            "StoppingRule", "available_budgets", "best_signature",
            "dedup_programs", "final_ranking", "follow_events",
            "format_event", "iter_events",

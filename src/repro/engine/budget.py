@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.engine.grammar import Params, format_number, read_spec
 from repro.errors import RegistryError, unknown_name_message
 
 DEFAULT_STABLE_CHAINS = 2
@@ -314,27 +315,16 @@ register_budget("validations", lambda spec: ValidationsRule(spec.n))
 # per-kind parameter grammars: name -> converter. Custom kinds added
 # with register_budget accept every known parameter — their factories
 # read what they need off the parsed spec.
-_PARAMETERS: dict[str, dict[str, Callable[[str], float]]] = {
+_PARAMETERS: dict[str, Params] = {
     "fixed": {},
     "adaptive": {"stable": int},
     "plateau": {"eps": float, "stable": int},
     "wallclock": {"secs": float},
     "validations": {"n": int},
 }
-_CUSTOM_PARAMETERS: dict[str, Callable[[str], float]] = {
+_CUSTOM_PARAMETERS: Params = {
     "stable": int, "eps": float, "secs": float, "n": int,
 }
-
-
-def _format_number(value: float) -> str:
-    """Canonical numeric form: no trailing zeros (``1`` not ``1.0``).
-
-    The spec string is a resume *fingerprint*: two different parameter
-    values must never print the same, so when ``%g``'s 6 significant
-    digits would lose precision the exact ``repr`` is used instead.
-    """
-    text = f"{value:g}"
-    return text if float(text) == value else repr(value)
 
 
 @dataclass(frozen=True)
@@ -386,37 +376,9 @@ class BudgetSpec:
             return cls()
         if isinstance(text, BudgetSpec):
             return text
-        kind, _, param_text = text.strip().partition(":")
-        kind = kind.strip()
-        if kind not in _BUDGETS:
-            raise RegistryError(
-                unknown_name_message("budget", kind, _BUDGETS))
-        allowed = _PARAMETERS.get(kind, _CUSTOM_PARAMETERS)
-        if not allowed and param_text.strip():
-            raise RegistryError(
-                f"budget {kind!r} takes no parameters, got "
-                f"{param_text.strip()!r}")
-        values: dict[str, float] = {}
-        for part in param_text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value_text = part.partition("=")
-            key = key.strip()
-            if not sep or key not in allowed:
-                expected = " or ".join(f"{name}=..."
-                                       for name in allowed)
-                raise RegistryError(
-                    f"bad budget parameter {part!r} "
-                    f"(expected {expected})")
-            try:
-                values[key] = allowed[key](value_text.strip())
-            except ValueError:
-                wanted = ("an integer" if allowed[key] is int
-                          else "a number")
-                raise RegistryError(
-                    f"bad budget parameter value {value_text!r} "
-                    f"({key} needs {wanted})") from None
+        kinds = {kind: _PARAMETERS.get(kind, _CUSTOM_PARAMETERS)
+                 for kind in _BUDGETS}
+        kind, values = read_spec(text, "budget", kinds)
         return cls(kind=kind,
                    stable=int(values.get("stable",
                                          DEFAULT_STABLE_CHAINS)),
@@ -430,10 +392,10 @@ class BudgetSpec:
         if self.kind == "adaptive":
             return f"adaptive:stable={self.stable}"
         if self.kind == "plateau":
-            return (f"plateau:eps={_format_number(self.eps)},"
+            return (f"plateau:eps={format_number(self.eps)},"
                     f"stable={self.stable}")
         if self.kind == "wallclock":
-            return f"wallclock:secs={_format_number(self.secs)}"
+            return f"wallclock:secs={format_number(self.secs)}"
         if self.kind == "validations":
             return f"validations:n={self.n}"
         return self.kind

@@ -40,6 +40,7 @@ from repro.engine import serialize
 from repro.engine.budget import BudgetSpec
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.events import ProgressListener
+from repro.engine.executor import ExecutorSpec
 from repro.engine.serialize import Json
 from repro.errors import EngineError
 from repro.search.config import SearchConfig
@@ -63,7 +64,16 @@ class EngineOptions:
     """How to execute a campaign.
 
     Attributes:
-        jobs: worker processes (1 = run in this process).
+        executor: which executor runs the jobs — an
+            :class:`~repro.engine.executor.ExecutorSpec` or its spec
+            string (``--executor``). ``serial``, the default, runs
+            in this process; ``pool:n=N`` runs a local pool of N >= 2
+            processes; ``tcp:spawn=N`` runs a TCP coordinator
+            (:class:`~repro.engine.remote.RemoteExecutor`) with N >= 1
+            loopback workers, which remote hosts may join and leave
+            mid-campaign. Results are bit-identical on every executor;
+            the manifest (v8) freezes the *transport* (``local`` vs
+            ``tcp:wire=N``), never the worker count.
         run_dir: checkpoint directory; None disables checkpointing.
         resume: continue a journaled campaign instead of starting
             fresh (requires ``run_dir``).
@@ -101,15 +111,6 @@ class EngineOptions:
             quarantined and the campaign degrades gracefully. Frozen in
             the checkpoint manifest (v7) with ``job_timeout`` as the
             retry-policy fingerprint.
-        workers: socket worker subprocesses to spawn (``--workers``);
-            0 keeps execution local. ``workers > 0`` replaces the
-            local pool (requires ``jobs=1``) with a TCP coordinator
-            (:class:`~repro.engine.remote.RemoteExecutor`) that
-            loopback workers — and any remote host pointed at its
-            address — join and leave mid-campaign. Results are
-            bit-identical at any worker count; the *transport*
-            (``local`` vs ``tcp:wire=N``) is frozen in the manifest
-            (v8), the count — like ``jobs`` — is not.
         faults: deterministic fault injection (``--faults``) — a
             :class:`~repro.engine.faults.FaultPlan`, its spec string
             (``faults:seed=S,crash=P,dup=P,stall=P,corrupt=P``), or
@@ -121,7 +122,7 @@ class EngineOptions:
             checkpointing.
     """
 
-    jobs: int = 1
+    executor: ExecutorSpec | str = field(default_factory=ExecutorSpec)
     run_dir: str | Path | None = None
     resume: bool = False
     budget: BudgetSpec | str = field(default_factory=BudgetSpec)
@@ -130,19 +131,12 @@ class EngineOptions:
     harden: bool = False
     job_timeout: float | None = None
     retries: int | None = None
-    workers: int = 0
     faults: "FaultPlan | str | None" = None
     progress: ProgressListener | None = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise EngineError("jobs must be at least 1")
-        if self.workers < 0:
-            raise EngineError("workers must be at least 0")
-        if self.workers > 0 and self.jobs != 1:
-            raise EngineError(
-                "--workers replaces the local pool; it cannot be "
-                "combined with --jobs > 1")
+        object.__setattr__(self, "executor",
+                           ExecutorSpec.parse(self.executor))
         if self.resume and self.run_dir is None:
             raise EngineError("--resume requires a run directory")
         if self.harden and self.run_dir is None:
@@ -202,11 +196,10 @@ class EngineOptions:
         """The manifest (v8) form of the execution transport.
 
         ``local`` or ``tcp:wire=N`` — the frame vocabulary, not the
-        worker count, is what a resume must agree on (counts, like
-        ``jobs``, are invisible in results by construction).
+        worker count, is what a resume must agree on (counts are
+        invisible in results by construction).
         """
-        from repro.engine.transport import transport_spec
-        return transport_spec(self.workers)
+        return self.executor.transport
 
 
 @dataclass

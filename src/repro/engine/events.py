@@ -48,8 +48,8 @@ was abandoned.
 
 Stream version 4 (this PR) adds the distributed-membership pair
 (``worker-joined`` / ``worker-left``): a campaign run over socket
-workers (``--workers`` / ``repro engine worker``) records every
-arrival and departure — with the departure's reason — so a follower
+workers (``--executor tcp:spawn=N`` / ``repro engine worker``) records
+every arrival and departure — with the departure's reason — so a follower
 can correlate a burst of ``job-requeued`` events with the host that
 caused them.
 

@@ -1,6 +1,8 @@
-"""Job executors: same-process for tests and ``jobs=1``, a
-``multiprocessing`` pool otherwise (and, behind ``--workers``, the
-socket coordinator in :mod:`repro.engine.remote`).
+"""Job executors, named by one spec (``--executor``): ``serial`` runs
+every job in this process, ``pool:n=N`` over a ``multiprocessing`` pool
+and ``tcp:spawn=N`` over the socket coordinator in
+:mod:`repro.engine.remote` (a coordinator that only listens is handed
+in through ``run_campaigns(executor_factory=...)``).
 
 Every executor speaks the same submit/await protocol the cross-kernel
 scheduler drives: :meth:`submit` enqueues a wave of jobs for one
@@ -40,14 +42,18 @@ import multiprocessing
 import queue
 import sys
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.engine import worker
+from repro.engine.grammar import read_spec
 from repro.engine.jobs import ChainJob, job_from_json, job_to_json
 from repro.engine.serialize import Json
+from repro.engine.transport import WIRE_VERSION
 from repro.engine.worker import CampaignContext
-from repro.errors import (EngineError, JobTimeoutError, ReproError,
-                          WorkerCrashError)
+from repro.errors import (EngineError, JobTimeoutError, RegistryError,
+                          ReproError, WorkerCrashError,
+                          unknown_name_message)
 
 
 class SerialExecutor:
@@ -196,24 +202,67 @@ class ProcessPoolExecutor:
             pool.join()
 
 
-def make_executor(contexts: dict[str, CampaignContext],
-                  jobs: int, *, workers: int = 0):
-    """The right executor for a worker count (``jobs=1`` is serial).
+# -- the spec -----------------------------------------------------------------
 
-    ``workers > 0`` selects the distributed path instead: a
-    :class:`~repro.engine.remote.RemoteExecutor` coordinator that
-    spawns that many loopback worker subprocesses (the ``--workers``
-    flag; remote hosts join the same coordinator by hand).
-    """
-    if jobs < 1:
-        raise EngineError("jobs must be at least 1")
-    if workers > 0:
-        if jobs != 1:
-            raise EngineError(
-                "--workers replaces the local pool; use it with "
-                "jobs=1")
+#: Each kind's one parameter (None: it takes none) and its least value.
+_PARAMETER = {"serial": (None, 1), "pool": ("n", 2), "tcp": ("spawn", 1)}
+
+
+@dataclass(frozen=True)
+class ExecutorSpec:
+    """Which executor runs a campaign's jobs: ``kind`` is ``serial``,
+    ``pool`` or ``tcp``, and ``workers`` is 1 for ``serial``, else the
+    N of ``pool:n=N`` or ``tcp:spawn=N``."""
+
+    kind: str = "serial"
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.kind not in _PARAMETER:
+            raise RegistryError(
+                unknown_name_message("executor", self.kind, _PARAMETER))
+        name, least = _PARAMETER[self.kind]
+        if name is None and self.workers != 1:
+            raise RegistryError(
+                f"a serial executor runs 1 worker, got {self.workers}")
+        if self.workers < least:
+            raise RegistryError(
+                f"executor parameter {name} must be >= {least}, got "
+                f"{self.workers}")
+
+    @classmethod
+    def parse(cls, text: "str | ExecutorSpec | None") -> "ExecutorSpec":
+        """Parse ``serial``, ``pool:n=N`` or ``tcp:spawn=N``."""
+        if text is None or isinstance(text, ExecutorSpec):
+            return text or cls()
+        kinds = {kind: {} if name is None else {name: int}
+                 for kind, (name, _) in _PARAMETER.items()}
+        kind, values = read_spec(text, "executor", kinds)
+        name = _PARAMETER[kind][0]
+        if name is not None and name not in values:
+            raise RegistryError(f"executor {kind!r} needs {name}=N")
+        return cls(kind, values.get(name, 1))
+
+    def spec_string(self) -> str:
+        """The canonical flag form."""
+        name = _PARAMETER[self.kind][0]
+        return self.kind if name is None else \
+            f"{self.kind}:{name}={self.workers}"
+
+    @property
+    def transport(self) -> str:
+        """The manifest (v8) form: the wire a resume must agree on,
+        ``local`` or ``tcp:wire=N``, never the worker count."""
+        return f"tcp:wire={WIRE_VERSION}" if self.kind == "tcp" \
+            else "local"
+
+
+def make_executor(contexts: dict[str, CampaignContext],
+                  spec: ExecutorSpec):
+    """The executor an :class:`ExecutorSpec` names, over ``contexts``."""
+    if spec.kind == "tcp":
         from repro.engine.remote import RemoteExecutor
-        return RemoteExecutor(contexts, spawn=workers)
-    if jobs == 1:
-        return SerialExecutor(contexts)
-    return ProcessPoolExecutor(contexts, jobs)
+        return RemoteExecutor(contexts, spawn=spec.workers)
+    if spec.kind == "pool":
+        return ProcessPoolExecutor(contexts, spec.workers)
+    return SerialExecutor(contexts)

@@ -16,17 +16,17 @@ Two spec grammars live here, both resume-fingerprint-grade strings:
     ``faults:`` prefix is optional on input and canonical on output.
     Fault decisions are a pure function of ``(seed, job_id, attempt)``
     — never of worker count, scheduling order, or the clock — so an
-    injected campaign replays identically at any ``--jobs N``.
+    injected campaign replays identically on any executor.
 
 ``retries=N,timeout=S``
     A :class:`RetryPolicy` (the ``--retries`` / ``--job-timeout``
-    flags). ``timeout=none`` disables deadlines; attempt ``k``'s
-    deadline is ``timeout * min(BACKOFF**k, BACKOFF_CAP)`` — capped
-    exponential backoff, so a genuinely slow job is not re-granted in
-    a tight loop. The policy is frozen in the checkpoint manifest
-    (v7): a resume under a different retry policy would re-decide
-    which chains get quarantined, so it is rejected like any other
-    fingerprint field.
+    flags), printed but never parsed. ``timeout=none`` disables
+    deadlines; attempt ``k``'s deadline is ``timeout *
+    min(BACKOFF**k, BACKOFF_CAP)`` — capped exponential backoff, so a
+    genuinely slow job is not re-granted in a tight loop. The policy is
+    frozen in the checkpoint manifest (v7): a resume under a different
+    retry policy would re-decide which chains get quarantined, so it is
+    rejected like any other fingerprint field.
 
 The :class:`FaultInjectingExecutor` wraps any executor behind the
 ``submit``/``next_result`` protocol and simulates, per submitted
@@ -57,6 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.engine.grammar import format_number, read_spec
 from repro.engine.jobs import ChainJob
 from repro.engine.serialize import Json
 from repro.errors import (EngineError, JobTimeoutError, RegistryError,
@@ -85,27 +86,6 @@ DEFAULT_RETRIES = 3
 _CORRUPT_FIELD = "verified"
 
 
-def _format_number(value: float) -> str:
-    """Canonical numeric form (shared fingerprint discipline with
-    :mod:`repro.engine.budget`): no trailing zeros, lossless."""
-    text = f"{value:g}"
-    return text if float(text) == value else repr(value)
-
-
-def _parse_pairs(text: str, what: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise RegistryError(
-                f"bad {what} parameter {part!r} (expected key=value)")
-        values[key.strip()] = value.strip()
-    return values
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, deterministic schedule of injected executor faults.
@@ -129,34 +109,18 @@ class FaultPlan:
             if not 0.0 <= value <= 1.0:
                 raise RegistryError(
                     f"fault probability {name} must be in [0, 1], "
-                    f"got {_format_number(value)}")
+                    f"got {format_number(value)}")
 
     @classmethod
     def parse(cls, text: "str | FaultPlan | None") -> "FaultPlan | None":
         """Parse ``faults:seed=S,crash=P,...`` (prefix optional)."""
         if text is None or isinstance(text, FaultPlan):
             return text
-        body = text.strip()
-        if body.startswith(FAULTS_PREFIX + ":"):
-            body = body[len(FAULTS_PREFIX) + 1:]
-        elif body == FAULTS_PREFIX:
-            body = ""
-        values = _parse_pairs(body, "fault")
-        known = {"seed": int, CRASH: float, DUP: float, STALL: float,
-                 CORRUPT: float}
-        kwargs: dict[str, float] = {}
-        for key, value in values.items():
-            if key not in known:
-                raise RegistryError(
-                    f"unknown fault parameter {key!r} "
-                    f"(known: {', '.join(sorted(known))})")
-            try:
-                kwargs[key] = known[key](value)
-            except ValueError:
-                raise RegistryError(
-                    f"bad fault parameter value {value!r} for "
-                    f"{key!r}") from None
-        return cls(**kwargs)  # type: ignore[arg-type]
+        params = {"seed": int, CRASH: float, DUP: float, STALL: float,
+                  CORRUPT: float}
+        _, values = read_spec(text, "fault", {FAULTS_PREFIX: params},
+                              implicit=FAULTS_PREFIX)
+        return cls(**values)
 
     @property
     def active(self) -> bool:
@@ -170,7 +134,7 @@ class FaultPlan:
         for name in (CRASH, DUP, STALL, CORRUPT):
             value = getattr(self, name)
             if value > 0.0:
-                parts.append(f"{name}={_format_number(value)}")
+                parts.append(f"{name}={format_number(value)}")
         return f"{FAULTS_PREFIX}:{','.join(parts)}"
 
     def roll(self, job_id: str, attempt: int) -> tuple[str | None, bool]:
@@ -214,43 +178,12 @@ class RetryPolicy:
         if self.job_timeout is not None and self.job_timeout <= 0:
             raise RegistryError(
                 f"job timeout must be > 0 seconds, got "
-                f"{_format_number(self.job_timeout)}")
-
-    @classmethod
-    def parse(cls, text: "str | RetryPolicy | None") -> "RetryPolicy":
-        """Parse ``retries=N,timeout=S`` (``timeout=none`` allowed)."""
-        if text is None:
-            return cls()
-        if isinstance(text, RetryPolicy):
-            return text
-        values = _parse_pairs(text, "retry")
-        kwargs: dict = {}
-        for key, value in values.items():
-            if key == "retries":
-                try:
-                    kwargs["retries"] = int(value)
-                except ValueError:
-                    raise RegistryError(
-                        f"bad retry count {value!r}") from None
-            elif key == "timeout":
-                if value.lower() == "none":
-                    kwargs["job_timeout"] = None
-                else:
-                    try:
-                        kwargs["job_timeout"] = float(value)
-                    except ValueError:
-                        raise RegistryError(
-                            f"bad job timeout {value!r}") from None
-            else:
-                raise RegistryError(
-                    f"unknown retry parameter {key!r} "
-                    f"(known: retries, timeout)")
-        return cls(**kwargs)
+                f"{format_number(self.job_timeout)}")
 
     def spec_string(self) -> str:
         """The canonical manifest form (the v7 ``retry`` field)."""
         timeout = ("none" if self.job_timeout is None
-                   else _format_number(self.job_timeout))
+                   else format_number(self.job_timeout))
         return f"retries={self.retries},timeout={timeout}"
 
     def deadline(self, granted_at: float, attempt: int) -> float | None:

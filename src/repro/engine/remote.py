@@ -18,7 +18,7 @@ reset, torn frame) surfaces the jobs it was running as
 :class:`~repro.errors.WorkerCrashError` — exactly what a local pool
 raises for a dead process — so lost chains flow through the recovery
 layer's retry/requeue/quarantine machinery unchanged, and a faulted
-distributed run ranks bit-identically to ``--jobs 1``. Silence (a
+distributed run ranks bit-identically to a serial one. Silence (a
 wedged worker that neither dies nor answers) is the driver's problem
 by design: per-job deadlines (``--job-timeout``) fire in
 :func:`~repro.engine.sweep.run_campaigns` and re-grant elsewhere, so a
@@ -94,9 +94,9 @@ class RemoteExecutor:
 
     ``spawn=N`` launches N local worker subprocesses (``repro engine
     worker``) against the coordinator's own address — the loopback
-    deployment behind ``--workers N``. With ``spawn=0`` the executor
-    only listens: start workers by hand (any host that can reach
-    ``self.address``) and they join the running campaign.
+    deployment behind ``--executor tcp:spawn=N``. With ``spawn=0`` the
+    executor only listens: start workers by hand (any host that can
+    reach ``self.address``) and they join the running campaign.
     """
 
     def __init__(self, contexts: dict[str, CampaignContext], *,

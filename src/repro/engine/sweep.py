@@ -181,7 +181,7 @@ class KernelSchedule:
         self._start_time = self.clock()
         self.events.emit(CAMPAIGN_STARTED, self.name,
                          budget=self.campaign.budget.spec_string(),
-                         jobs=self.campaign.options.jobs,
+                         jobs=self.campaign.options.executor.workers,
                          chains_planned=self.chains_planned)
 
     @property
@@ -634,9 +634,9 @@ def run_campaigns(campaigns: list[Campaign], *,
     kernel), then blocks for one completed job and feeds it back to
     its schedule — so slow kernels' rounds interleave with fast ones'
     instead of serializing behind them. Results return in input
-    order; every campaign must share the pool-wide settings (worker
-    count, ``--workers``, retry policy, fault plan), and kernel names
-    must be unique (they key the shared pool's contexts).
+    order; every campaign must share the pool-wide settings (executor,
+    retry policy, fault plan), and kernel names must be unique (they
+    key the shared pool's contexts).
 
     ``executor_factory`` overrides executor selection: it receives the
     per-kernel contexts and returns any object speaking the
@@ -644,8 +644,8 @@ def run_campaigns(campaigns: list[Campaign], *,
     run a sweep over, say, a hand-configured
     :class:`~repro.engine.remote.RemoteExecutor`. Fault injection
     (``--faults``) still wraps whatever the factory returns. Without a
-    factory, ``EngineOptions.workers > 0`` selects the distributed
-    coordinator and spawns that many loopback workers.
+    factory, ``EngineOptions.executor`` names the executor
+    (:func:`~repro.engine.executor.make_executor`).
 
     The driver is also the recovery layer: every granted job carries
     a per-attempt deadline (``--job-timeout``, capped exponential
@@ -665,8 +665,7 @@ def run_campaigns(campaigns: list[Campaign], *,
     # wait: half the kernels cannot be distributed while the rest stay
     # local, nor can one wait honor two deadline/retry disciplines
     first = campaigns[0].options
-    for setting, name in (("jobs", "a worker count"),
-                          ("workers", "a --workers count"),
+    for setting, name in (("executor", "an executor"),
                           ("retry_policy", "a retry policy"),
                           ("faults", "a fault plan")):
         value = getattr(first, setting)
@@ -674,7 +673,6 @@ def run_campaigns(campaigns: list[Campaign], *,
                for campaign in campaigns):
             raise EngineError(
                 f"all campaigns in one sweep must share {name}")
-    jobs, workers = first.jobs, first.workers
     policy, faults = first.retry_policy, first.faults
     if len(campaigns) > 1 and not all(c.options.interleave
                                       for c in campaigns):
@@ -705,7 +703,7 @@ def run_campaigns(campaigns: list[Campaign], *,
                 for schedule in schedules}
     executor = (executor_factory(contexts)
                 if executor_factory is not None
-                else make_executor(contexts, jobs, workers=workers))
+                else make_executor(contexts, first.executor))
     if faults is not None and faults.active:
         executor = FaultInjectingExecutor(executor, faults)
     start = clock()

@@ -252,15 +252,3 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise EngineError(f"endpoint port {port} out of range")
     return host, port
-
-
-def transport_spec(workers: int) -> str:
-    """The manifest (v8) form of a campaign's transport policy.
-
-    ``local`` for in-process / ``multiprocessing`` execution,
-    ``tcp:wire=N`` for socket workers. The *wire version* — not the
-    worker count — is what resume freezes: worker counts are invisible
-    in results (like ``--jobs``), but a run must not silently hop
-    between transports whose frame vocabularies could diverge.
-    """
-    return f"tcp:wire={WIRE_VERSION}" if workers > 0 else "local"

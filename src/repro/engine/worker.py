@@ -5,7 +5,7 @@ and runs one phase over one chain. Every job gets its *own* cost
 function seeded from the campaign's base testcase suite, so
 counterexample refinement stays job-local and results depend only on
 (context, job) — never on which process ran the job or in what order.
-That independence is what makes ``jobs=N`` bit-identical to ``jobs=1``
+That independence is what makes every executor bit-identical to ``serial``
 and lets the aggregator replay journaled results on resume.
 """
 
@@ -35,14 +35,13 @@ class CampaignContext:
 
     The cost function and search strategy travel as *specs* — registry
     keys, not instances — so every worker process rebuilds identical
-    machinery from the same names and ``jobs=N`` stays bit-identical
-    to ``jobs=1`` under any cost/strategy combination.
+    machinery from the same names and ``pool:n=N`` stays bit-identical
+    to ``serial`` under any cost/strategy combination.
 
     The ``validator`` instance is used directly by the same-process
     executor; the process-pool executor reconstructs an equivalent
     ``Validator`` from its parameters on the far side, so a campaign
-    that relies on a custom Validator subclass must run with
-    ``jobs=1``.
+    that relies on a custom Validator subclass must run ``serial``.
     """
 
     target: Program

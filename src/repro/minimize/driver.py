@@ -20,8 +20,8 @@ cross-run flywheel (persisting those testcases per kernel) lives in
 
 The driver is a pure function of (target, spec, rewrite, testcases,
 pass selection): it runs in the orchestrating process, consults no
-clock and no worker pool, so its output is bit-identical at any
-``--jobs`` setting by construction.
+clock and no worker pool, so its output is bit-identical on any
+``--executor`` by construction.
 """
 
 from __future__ import annotations

@@ -174,8 +174,8 @@ def evaluate_campaign(benches: list[Benchmark], *, seed: int = 0,
     """Measure many kernels as one interleaved, shared-pool campaign.
 
     The cross-kernel scheduler grants chain rounds round-robin across
-    every kernel, so ``--jobs N`` stays saturated until the last
-    kernel stops — per-kernel results are bit-identical to running
+    every kernel, so a ``pool:n=N`` executor stays saturated until the
+    last kernel stops — per-kernel results are bit-identical to running
     :func:`evaluate_benchmark` kernel by kernel. Per-kernel seeds
     follow the sequential sweep's scheme (``seed + index``) so the two
     paths stay comparable; ``engine_for`` supplies each kernel's

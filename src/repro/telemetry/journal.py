@@ -26,10 +26,11 @@ journal are backfilled exactly once.
 document ``repro engine report --json`` emits. Its ``runtime``
 sections (wall-clock seconds, the compiled evaluator's process-global
 cache counters, scheduler latencies) legitimately differ between runs
-and across ``--jobs N``; :func:`deterministic_document` strips them,
+and across executors; :func:`deterministic_document` strips them,
 and what remains is bit-identical at any worker count — the telemetry
 extension of the engine's replay guarantee
-(``tests/engine/test_interleave.py`` holds it across jobs 1/2/4).
+(``tests/engine/test_interleave.py`` holds it across ``serial``,
+``pool:n=2`` and ``pool:n=4``).
 """
 
 from __future__ import annotations

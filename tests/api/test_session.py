@@ -1,8 +1,8 @@
 """Session facade: engine equivalence, JSON results, determinism.
 
 The two acceptance bars for the API: ``Session`` adds nothing to the
-engine's :class:`Campaign` at defaults, and ``jobs=2`` equals
-``jobs=1`` under a *non-default* cost/strategy spec (the spec must
+engine's :class:`Campaign` at defaults, and ``pool:n=2`` equals
+``serial`` under a *non-default* cost/strategy spec (the spec must
 survive the trip through worker-process serialization).
 """
 
@@ -71,13 +71,13 @@ def test_session_takes_neither_evaluator_nor_minimize():
 
 def test_jobs2_bit_identical_with_nondefault_cost_and_strategy():
     """The cost/strategy spec must ride through worker serialization."""
-    def run(jobs):
+    def run(executor):
         return Session(Target.from_suite("p01"), config=CONFIG,
                        cost="correctness,latency:2,size",
                        strategy="anneal",
-                       engine=EngineOptions(jobs=jobs)).run()
+                       engine=EngineOptions(executor=executor)).run()
 
-    serial, pooled = run(1), run(2)
+    serial, pooled = run("serial"), run("pool:n=2")
     assert _ranking_key(serial.stoke) == _ranking_key(pooled.stoke)
     assert serial.rewrite_asm == pooled.rewrite_asm
     assert serial.rewrite_cycles == pooled.rewrite_cycles

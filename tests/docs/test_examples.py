@@ -20,46 +20,75 @@ DOCUMENTS = ("README.md", "docs/ARCHITECTURE.md",
              "docs/MINIMIZE.md", "docs/SPEC_GRAMMAR.md",
              "docs/TELEMETRY.md")
 
-_FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+
+def _slug(heading: str) -> str:
+    """A heading's words, code spans left out (flag names change)."""
+    heading = heading.lower()
+    words = re.findall(r"[a-z0-9]+", re.sub(r"`[^`]*`", "", heading))
+    return "-".join(words or re.findall(r"[a-z0-9]+", heading))
 
 
-def _python_blocks(document: str) -> list[tuple[str, int, str]]:
-    """(document, block index, source) for every python fence."""
-    text = (REPO / document).read_text()
-    return [(document, index, match.group(1))
-            for index, match in enumerate(_FENCE.finditer(text))]
+def _python_blocks(document: str) -> list[tuple[str, str]]:
+    """(id, source) for every python fence in one document.
+
+    An id is ``<document>:<section slug>:<ordinal>``: the slug of the
+    nearest heading above the block and the block's position among the
+    python blocks of that section. Adding or removing an example then
+    renames only the later examples of its own section.
+    """
+    blocks = []
+    section, ordinal = "top", 0
+    fence, source = None, []
+    for line in (REPO / document).read_text().splitlines(keepends=True):
+        if fence is None:
+            if line.startswith("```"):
+                fence, source = line[3:].strip(), []
+            elif line.startswith("#"):
+                section, ordinal = _slug(line), 0
+        elif line.startswith("```"):
+            if fence == "python":
+                blocks.append((f"{document}:{section}:{ordinal}",
+                               "".join(source)))
+                ordinal += 1
+            fence = None
+        else:
+            source.append(line)
+    return blocks
 
 
 ALL_BLOCKS = [block for document in DOCUMENTS
               for block in _python_blocks(document)]
-DOCTEST_BLOCKS = [block for block in ALL_BLOCKS if ">>>" in block[2]]
+DOCTEST_BLOCKS = [block for block in ALL_BLOCKS if ">>>" in block[1]]
 NARRATIVE_BLOCKS = [block for block in ALL_BLOCKS
-                    if ">>>" not in block[2]]
+                    if ">>>" not in block[1]]
 
 
 def test_the_docs_actually_contain_examples():
     """Guard the harness itself: an empty scan must fail loudly."""
     assert len(DOCTEST_BLOCKS) >= 7
-    assert any(doc == "docs/SPEC_GRAMMAR.md"
-               for doc, _, _ in DOCTEST_BLOCKS)
+    assert any(block_id.startswith("docs/SPEC_GRAMMAR.md:")
+               for block_id, _ in DOCTEST_BLOCKS)
 
 
-@pytest.mark.parametrize(
-    "document,index,source", DOCTEST_BLOCKS,
-    ids=[f"{doc}:{idx}" for doc, idx, _ in DOCTEST_BLOCKS])
-def test_doctest_block(document, index, source):
+def test_example_ids_are_unique():
+    ids = [block_id for block_id, _ in ALL_BLOCKS]
+    assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("block_id,source", DOCTEST_BLOCKS,
+                         ids=[block_id for block_id, _ in DOCTEST_BLOCKS])
+def test_doctest_block(block_id, source):
+    document = block_id.split(":")[0]
     parser = doctest.DocTestParser()
-    test = parser.get_doctest(source, {}, f"{document}[{index}]",
-                              document, 0)
+    test = parser.get_doctest(source, {}, block_id, document, 0)
     runner = doctest.DocTestRunner(
         optionflags=doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE)
     results = runner.run(test)
     assert results.failed == 0, \
-        f"{document} block {index}: {results.failed} example(s) failed"
+        f"{block_id}: {results.failed} example(s) failed"
 
 
-@pytest.mark.parametrize(
-    "document,index,source", NARRATIVE_BLOCKS,
-    ids=[f"{doc}:{idx}" for doc, idx, _ in NARRATIVE_BLOCKS])
-def test_narrative_block_is_valid_python(document, index, source):
-    compile(source, f"{document}[{index}]", "exec")
+@pytest.mark.parametrize("block_id,source", NARRATIVE_BLOCKS,
+                         ids=[block_id for block_id, _ in NARRATIVE_BLOCKS])
+def test_narrative_block_is_valid_python(block_id, source):
+    compile(source, block_id, "exec")

@@ -234,8 +234,8 @@ def test_validations_rule_stops_at_the_cap():
 # -- adaptive campaigns -------------------------------------------------------
 
 def test_adaptive_schedules_fewer_chains_with_equal_best():
-    fixed = _run(EngineOptions(jobs=1))
-    adaptive = _run(EngineOptions(jobs=1, budget="adaptive:stable=2"))
+    fixed = _run(EngineOptions())
+    adaptive = _run(EngineOptions(budget="adaptive:stable=2"))
     assert fixed.chains_scheduled == 6 and fixed.chains_saved == 0
     assert adaptive.chains_scheduled < fixed.chains_scheduled
     assert adaptive.chains_saved == 6 - adaptive.chains_scheduled
@@ -247,8 +247,8 @@ def test_adaptive_schedules_fewer_chains_with_equal_best():
 
 
 def test_adaptive_is_deterministic_across_worker_counts():
-    serial = _run(EngineOptions(jobs=1, budget="adaptive:stable=2"))
-    pooled = _run(EngineOptions(jobs=2, budget="adaptive:stable=2"))
+    serial = _run(EngineOptions(budget="adaptive:stable=2"))
+    pooled = _run(EngineOptions(executor="pool:n=2", budget="adaptive:stable=2"))
     assert serial.chains_scheduled == pooled.chains_scheduled
     assert serial.chains_saved == pooled.chains_saved
     assert [(str(r.program), r.cost, r.cycles) for r in serial.ranked] \
@@ -258,10 +258,10 @@ def test_adaptive_is_deterministic_across_worker_counts():
 
 def test_adaptive_resume_stops_at_the_same_chain(tmp_path):
     run_dir = tmp_path / "run"
-    options = EngineOptions(jobs=1, run_dir=run_dir,
+    options = EngineOptions(run_dir=run_dir,
                             budget="adaptive:stable=2")
     full = _run(options)
-    resumed = _run(EngineOptions(jobs=1, run_dir=run_dir, resume=True,
+    resumed = _run(EngineOptions(run_dir=run_dir, resume=True,
                                  budget="adaptive:stable=2"))
     assert resumed.chains_scheduled == full.chains_scheduled
     assert [(str(r.program), r.cycles) for r in resumed.ranked] \
@@ -269,7 +269,7 @@ def test_adaptive_resume_stops_at_the_same_chain(tmp_path):
 
 
 def test_stoke_result_reports_chain_statistics():
-    result = _run(EngineOptions(jobs=1))
+    result = _run(EngineOptions())
     assert result.chains_scheduled == CONFIG.optimization_chains
     assert result.chains_saved == 0
 
@@ -282,9 +282,9 @@ def _total_validations(result):
 
 
 def test_validations_budget_stops_a_campaign_early():
-    fixed = _run(EngineOptions(jobs=1))
+    fixed = _run(EngineOptions())
     assert _total_validations(fixed) > 1      # the cap below can bind
-    capped = _run(EngineOptions(jobs=1, budget="validations:n=1"))
+    capped = _run(EngineOptions(budget="validations:n=1"))
     assert capped.chains_scheduled < fixed.chains_scheduled
     assert capped.chains_saved == 6 - capped.chains_scheduled
     # the cap gates grants, never a granted chain: the round that
@@ -295,8 +295,8 @@ def test_validations_budget_stops_a_campaign_early():
 
 
 def test_validations_budget_is_deterministic_across_worker_counts():
-    serial = _run(EngineOptions(jobs=1, budget="validations:n=2"))
-    pooled = _run(EngineOptions(jobs=2, budget="validations:n=2"))
+    serial = _run(EngineOptions(budget="validations:n=2"))
+    pooled = _run(EngineOptions(executor="pool:n=2", budget="validations:n=2"))
     assert serial.chains_scheduled == pooled.chains_scheduled
     assert _total_validations(serial) == _total_validations(pooled)
     assert [(str(r.program), r.cost, r.cycles) for r in serial.ranked] \
@@ -309,10 +309,10 @@ def test_validations_resume_stops_at_the_same_chain(tmp_path):
     exactly once (the delta accounting), so a resumed campaign stops
     at the same chain as the uninterrupted run."""
     run_dir = tmp_path / "run"
-    options = EngineOptions(jobs=1, run_dir=run_dir,
+    options = EngineOptions(run_dir=run_dir,
                             budget="validations:n=2")
     full = _run(options)
-    resumed = _run(EngineOptions(jobs=1, run_dir=run_dir, resume=True,
+    resumed = _run(EngineOptions(run_dir=run_dir, resume=True,
                                  budget="validations:n=2"))
     assert resumed.chains_scheduled == full.chains_scheduled
     assert _total_validations(resumed) == _total_validations(full)

@@ -13,7 +13,7 @@ from repro.x86.parser import parse_program
 def test_optimize_with_jobs_and_run_dir(tmp_path, capsys):
     code = cli.main(["optimize", "p01", "--proposals", "400",
                      "--testcases", "4", "--restarts", "2",
-                     "--jobs", "2", "--run-dir",
+                     "--executor", "pool:n=2", "--run-dir",
                      str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "jobs.jsonl").exists()
@@ -65,12 +65,13 @@ def test_optimize_reports_target_and_exits_zero_when_unimproved(
 
 def test_engine_campaign_sweeps_selected_kernels(tmp_path, capsys):
     code = cli.main(["engine", "campaign", "p01", "p03",
-                     "--jobs", "2", "--run-dir",
+                     "--executor", "pool:n=2", "--run-dir",
                      str(tmp_path / "sweep")])
     assert code == 0
     out = capsys.readouterr().out
     assert "p01" in out and "p03" in out
     assert "campaign done: " in out
+    assert "(executor=pool:n=2, budget=fixed, " in out
     assert (tmp_path / "sweep" / "p01" / "manifest.json").exists()
     assert (tmp_path / "sweep" / "p03" / "jobs.jsonl").exists()
 
@@ -84,7 +85,7 @@ def test_engine_campaign_progress_streams_per_kernel_events(tmp_path,
                                                             capsys):
     code = cli.main(["engine", "campaign", "p01", "p03",
                      "--progress", "--chains", "2",
-                     "--budget", "adaptive:stable=1", "--jobs", "2",
+                     "--budget", "adaptive:stable=1", "--executor", "pool:n=2",
                      "--run-dir", str(tmp_path / "sweep")])
     assert code == 0
     captured = capsys.readouterr()
@@ -107,6 +108,18 @@ def test_engine_campaign_rejects_bad_budget(capsys):
     assert "unknown budget" in capsys.readouterr().err
 
 
+def test_engine_flags_reject_bad_executor_specs(capsys):
+    """Each bad spec exits 2 with a message naming the bad part."""
+    for spec, part in (("pool:n=1", "n must be >= 2"),
+                       ("tcp:spawn=0", "spawn must be >= 1"),
+                       ("gpu", "unknown executor 'gpu'"),
+                       ("pool:x=2", "bad executor parameter 'x=2'")):
+        for command in (["engine", "campaign", "p01"],
+                        ["optimize", "p01"]):
+            assert cli.main(command + ["--executor", spec]) == 2
+            assert part in capsys.readouterr().err
+
+
 def test_engine_campaign_rejects_unknown_kernel_before_running_any(
         monkeypatch, capsys):
     """A typo anywhere in the sweep list exits 2 with suggestions
@@ -125,7 +138,7 @@ def test_engine_campaign_rejects_unknown_kernel_before_running_any(
 
 def test_engine_campaign_interleave_matches_sequential(tmp_path,
                                                        capsys):
-    args = ["engine", "campaign", "p01", "p03", "--jobs", "2",
+    args = ["engine", "campaign", "p01", "p03", "--executor", "pool:n=2",
             "--chains", "2", "--budget", "adaptive:stable=1"]
     assert cli.main(args) == 0
     sequential = capsys.readouterr().out
@@ -148,7 +161,7 @@ def test_engine_campaign_interleave_matches_sequential(tmp_path,
 
 def test_engine_campaign_interleave_journals_current_manifests(tmp_path):
     code = cli.main(["engine", "campaign", "p01", "p03",
-                     "--interleave", "--jobs", "2",
+                     "--interleave", "--executor", "pool:n=2",
                      "--run-dir", str(tmp_path / "sweep")])
     assert code == 0
     for kernel in ("p01", "p03"):
@@ -161,7 +174,7 @@ def test_engine_campaign_interleave_journals_current_manifests(tmp_path):
 
 def test_engine_report_renders_a_finished_sweep(tmp_path, capsys):
     sweep = str(tmp_path / "sweep")
-    assert cli.main(["engine", "campaign", "p01", "p03", "--jobs", "2",
+    assert cli.main(["engine", "campaign", "p01", "p03", "--executor", "pool:n=2",
                      "--run-dir", sweep]) == 0
     capsys.readouterr()
     assert cli.main(["engine", "report", sweep]) == 0

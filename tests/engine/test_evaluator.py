@@ -37,20 +37,20 @@ def _ranking_key(result):
 
 
 def test_jobs_two_matches_jobs_one():
-    serial = _campaign(EngineOptions(jobs=1)).run()
-    pooled = _campaign(EngineOptions(jobs=2)).run()
+    serial = _campaign(EngineOptions()).run()
+    pooled = _campaign(EngineOptions(executor="pool:n=2")).run()
     assert _ranking_key(serial) == _ranking_key(pooled)
     assert str(serial.rewrite) == str(pooled.rewrite)
 
 
 def test_resume_rejects_a_manifest_naming_an_evaluator(tmp_path):
     run_dir = tmp_path / "run"
-    _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
+    _campaign(EngineOptions(run_dir=run_dir)).run()
     manifest_path = run_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     assert manifest["cost"] == "correctness,latency"
     manifest["cost"] = "correctness,latency,evaluator=reference"
     manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
     with pytest.raises(EngineError, match="differs in cost"):
-        _campaign(EngineOptions(jobs=1, run_dir=run_dir,
+        _campaign(EngineOptions(run_dir=run_dir,
                                 resume=True)).run()

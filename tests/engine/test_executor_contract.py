@@ -24,8 +24,8 @@ import threading
 
 import pytest
 
-from repro.engine.executor import (ProcessPoolExecutor, SerialExecutor,
-                                   make_executor)
+from repro.engine.executor import (ExecutorSpec, ProcessPoolExecutor,
+                                   SerialExecutor, make_executor)
 from repro.engine.faults import FaultInjectingExecutor, FaultPlan
 from repro.engine.jobs import ChainJob
 from repro.engine.remote import RemoteExecutor, run_worker
@@ -300,10 +300,10 @@ def test_certain_duplicates_deliver_the_same_payload_twice(
 
 def test_make_executor_selects_by_jobs_and_workers():
     contexts = {}
-    assert isinstance(make_executor(contexts, 1), SerialExecutor)
-    assert isinstance(make_executor(contexts, 3), ProcessPoolExecutor)
-    remote = make_executor(contexts, 1, workers=2)
-    assert isinstance(remote, RemoteExecutor)
+    serial = make_executor(contexts, ExecutorSpec.parse("serial"))
+    assert isinstance(serial, SerialExecutor)
+    pool = make_executor(contexts, ExecutorSpec.parse("pool:n=3"))
+    assert isinstance(pool, ProcessPoolExecutor) and pool.jobs == 3
+    remote = make_executor(contexts, ExecutorSpec.parse("tcp:spawn=2"))
+    assert isinstance(remote, RemoteExecutor) and remote._spawn == 2
     remote.terminate()
-    with pytest.raises(EngineError, match="use it with"):
-        make_executor(contexts, 2, workers=2)

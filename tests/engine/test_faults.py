@@ -21,7 +21,8 @@ from repro.engine.events import (JOB_QUARANTINED, JOB_REQUEUED,
                                  JOB_RETRIED, ProgressEvent,
                                  event_from_json, event_to_json,
                                  format_event, read_events)
-from repro.engine.executor import ProcessPoolExecutor, make_executor
+from repro.engine.executor import (ExecutorSpec, ProcessPoolExecutor,
+                                   make_executor)
 from repro.engine.faults import (FaultInjectingExecutor, FaultPlan,
                                  RetryPolicy)
 from repro.engine.jobs import ChainJob, payload_problem
@@ -49,7 +50,7 @@ def _run_base(tmp_path, label):
     return base
 
 
-def _campaigns(jobs, budget="fixed", *, base_dir=None, resume=False,
+def _campaigns(executor, budget="fixed", *, base_dir=None, resume=False,
                faults=None, job_timeout=None, retries=None,
                interleave=True, chains=2, progress=None):
     campaigns = []
@@ -62,7 +63,7 @@ def _campaigns(jobs, budget="fixed", *, base_dir=None, resume=False,
                               synthesis_chains=0,
                               testcase_count=4)
         run_dir = None if base_dir is None else base_dir / name
-        options = EngineOptions(jobs=jobs, run_dir=run_dir,
+        options = EngineOptions(executor=executor, run_dir=run_dir,
                                 resume=resume, budget=budget,
                                 interleave=interleave, faults=faults,
                                 job_timeout=job_timeout,
@@ -87,7 +88,7 @@ _BASELINE: dict = {}
 def _baseline(budget):
     """The fault-free serial rankings every faulted run must equal."""
     if budget not in _BASELINE:
-        results = run_campaigns(_campaigns(1, budget))
+        results = run_campaigns(_campaigns("serial", budget))
         _BASELINE[budget] = [_key(result) for result in results]
     return _BASELINE[budget]
 
@@ -114,25 +115,21 @@ def test_fault_plan_prefix_is_optional_and_zeroes_implicit():
 
 
 def test_fault_plan_rejects_bad_specs():
-    with pytest.raises(RegistryError, match="unknown fault parameter"):
+    with pytest.raises(RegistryError,
+                       match="bad fault parameter 'burn=0.5'"):
         FaultPlan.parse("faults:burn=0.5")
-    with pytest.raises(RegistryError, match="bad fault parameter"):
+    with pytest.raises(RegistryError, match="bad fault parameter value"):
         FaultPlan.parse("faults:crash=lots")
     with pytest.raises(RegistryError, match="must be in"):
         FaultPlan.parse("faults:crash=1.5")
-    with pytest.raises(RegistryError, match="expected key=value"):
+    with pytest.raises(RegistryError, match="expected seed=..."):
         FaultPlan.parse("faults:crash")
 
 
 def test_retry_policy_parse_and_spec_string():
-    assert RetryPolicy.parse(None) == RetryPolicy()
-    policy = RetryPolicy.parse("retries=5,timeout=0.25")
-    assert policy == RetryPolicy(retries=5, job_timeout=0.25)
+    policy = RetryPolicy(retries=5, job_timeout=0.25)
     assert policy.spec_string() == "retries=5,timeout=0.25"
     assert RetryPolicy().spec_string() == "retries=3,timeout=none"
-    assert RetryPolicy.parse("timeout=none").job_timeout is None
-    with pytest.raises(RegistryError, match="unknown retry parameter"):
-        RetryPolicy.parse("lives=9")
     with pytest.raises(RegistryError, match="retries must be"):
         RetryPolicy(retries=-1)
     with pytest.raises(RegistryError, match="timeout must be"):
@@ -286,7 +283,7 @@ def test_options_reject_stall_faults_without_a_deadline():
 
 
 def test_manifest_fingerprints_the_retry_policy(tmp_path):
-    run_campaigns(_campaigns(1, base_dir=tmp_path, retries=2,
+    run_campaigns(_campaigns("serial", base_dir=tmp_path, retries=2,
                              job_timeout=4.0))
     manifest = json.loads(
         (tmp_path / "p01" / "manifest.json").read_text())
@@ -294,19 +291,19 @@ def test_manifest_fingerprints_the_retry_policy(tmp_path):
     assert manifest["retry"] == "retries=2,timeout=4"
     assert manifest["transport"] == "local"
     with pytest.raises(EngineError, match="differs in retry"):
-        run_campaigns(_campaigns(1, base_dir=tmp_path, retries=3,
+        run_campaigns(_campaigns("serial", base_dir=tmp_path, retries=3,
                                  job_timeout=4.0, resume=True))
 
 
 def test_sweep_rejects_mismatched_retry_policies():
-    campaigns = _campaigns(1)
+    campaigns = _campaigns("serial")
     object.__setattr__(campaigns[1].options, "retries", 9)
     with pytest.raises(EngineError, match="share a retry policy"):
         run_campaigns(campaigns)
 
 
 def test_sweep_rejects_mismatched_fault_plans():
-    campaigns = _campaigns(1)
+    campaigns = _campaigns("serial")
     object.__setattr__(campaigns[1].options, "faults",
                        FaultPlan(seed=0, crash=0.5))
     with pytest.raises(EngineError, match="share a fault plan"):
@@ -319,14 +316,20 @@ FAULTS = ("faults:seed=0,crash=0.25,dup=0.25,corrupt=0.2",
           "faults:seed=1,crash=0.3,dup=0.3,stall=0.2,corrupt=0.2")
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
+# the matrix's executors; cells are keyed by their worker counts
+EXECUTORS = ("serial", "pool:n=2", "pool:n=4")
+WORKER_COUNTS = ("1", "2", "4")
+
+
+@pytest.mark.parametrize("executor", EXECUTORS, ids=WORKER_COUNTS)
 @pytest.mark.parametrize("spec", range(len(FAULTS)))
-def test_faulted_campaigns_rank_bit_identical(spec, jobs, tmp_path):
-    """faults x jobs: every injected run equals the fault-free run."""
+def test_faulted_campaigns_rank_bit_identical(spec, executor, tmp_path):
+    """faults x executor: every injected run equals the fault-free run."""
     faults = FAULTS[spec]
-    run_base = _run_base(tmp_path, f"matrix-j{jobs}-f{spec}")
+    workers = ExecutorSpec.parse(executor).workers
+    run_base = _run_base(tmp_path, f"matrix-j{workers}-f{spec}")
     results = run_campaigns(_campaigns(
-        jobs, base_dir=run_base, faults=faults, job_timeout=2.0,
+        executor, base_dir=run_base, faults=faults, job_timeout=2.0,
         retries=8))
     assert [_key(result) for result in results] == _baseline("fixed")
     for result in results:
@@ -345,14 +348,14 @@ def test_faulted_campaigns_rank_bit_identical(spec, jobs, tmp_path):
                                     "plateau:eps=1,stable=2"])
 def test_faulted_campaigns_match_under_incremental_budgets(budget):
     results = run_campaigns(_campaigns(
-        2, budget, faults=FAULTS[0], job_timeout=2.0, retries=8))
+        "pool:n=2", budget, faults=FAULTS[0], job_timeout=2.0, retries=8))
     assert [_key(result) for result in results] == _baseline(budget)
 
 
 def test_certain_duplicates_still_rank_bit_identical(tmp_path):
     """dup=1.0: every completion arrives twice; first-wins dedup."""
     results = run_campaigns(_campaigns(
-        1, base_dir=tmp_path, faults="faults:dup=1.0"))
+        "serial", base_dir=tmp_path, faults="faults:dup=1.0"))
     assert [_key(result) for result in results] == _baseline("fixed")
     document = load_document(tmp_path / "p01")
     recovery = document["runtime"]["recovery"]
@@ -367,7 +370,7 @@ def test_certain_stall_quarantines_everything_without_deadlock(
     """stall=1.0: no job ever returns; the campaign must still finish
     (degraded), with every decision journaled and evented."""
     results = run_campaigns(_campaigns(
-        1, base_dir=tmp_path, faults="faults:stall=1.0",
+        "serial", base_dir=tmp_path, faults="faults:stall=1.0",
         job_timeout=0.1, retries=2))
     for result, name in zip(results, KERNELS):
         # no chain ever reported, so no improvement may be claimed:
@@ -392,10 +395,10 @@ def test_quarantines_replay_on_resume(tmp_path):
     """A resumed run must not hammer a chain its predecessor already
     gave up on — quarantine is campaign membership, not mood."""
     first = run_campaigns(_campaigns(
-        1, base_dir=tmp_path, faults="faults:stall=1.0",
+        "serial", base_dir=tmp_path, faults="faults:stall=1.0",
         job_timeout=0.1, retries=1))
     resumed = run_campaigns(_campaigns(
-        1, base_dir=tmp_path, resume=True, job_timeout=0.1,
+        "serial", base_dir=tmp_path, resume=True, job_timeout=0.1,
         retries=1))                            # no faults this time
     assert [r.quarantined_jobs for r in resumed] == \
         [r.quarantined_jobs for r in first]
@@ -405,14 +408,14 @@ def test_quarantines_replay_on_resume(tmp_path):
 def test_faulted_run_resumes_bit_identical(tmp_path):
     """Interrupt a faulted run (drop its last journaled job), resume
     fault-free: the rankings must equal the fault-free baseline."""
-    run_campaigns(_campaigns(2, base_dir=tmp_path, faults=FAULTS[0],
+    run_campaigns(_campaigns("pool:n=2", base_dir=tmp_path, faults=FAULTS[0],
                              job_timeout=2.0, retries=8))
     for name in KERNELS:
         journal = tmp_path / name / "jobs.jsonl"
         lines = journal.read_text().splitlines()
         assert len(lines) >= 2
         journal.write_text("\n".join(lines[:-1]) + "\n")
-    resumed = run_campaigns(_campaigns(2, base_dir=tmp_path,
+    resumed = run_campaigns(_campaigns("pool:n=2", base_dir=tmp_path,
                                        resume=True, job_timeout=2.0,
                                        retries=8))
     assert [_key(result) for result in resumed] == _baseline("fixed")
@@ -421,14 +424,14 @@ def test_faulted_run_resumes_bit_identical(tmp_path):
 # -- stale grants -------------------------------------------------------------
 
 def test_resume_rejects_results_for_unplanned_jobs(tmp_path):
-    run_campaigns(_campaigns(1, base_dir=tmp_path))
+    run_campaigns(_campaigns("serial", base_dir=tmp_path))
     journal = tmp_path / "p01" / "jobs.jsonl"
     record = json.loads(journal.read_text().splitlines()[0])
     record["job_id"] = "opt-c999-s999"        # a job nobody planned
     with journal.open("a") as handle:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
     with pytest.raises(StaleGrantError, match="never planned"):
-        run_campaigns(_campaigns(1, base_dir=tmp_path, resume=True))
+        run_campaigns(_campaigns("serial", base_dir=tmp_path, resume=True))
 
 
 # -- executor shutdown (satellite 1) ------------------------------------------
@@ -441,7 +444,7 @@ def test_pool_shutdown_is_idempotent():
     executor.terminate()
     executor.terminate()
     assert executor._pool is None
-    serial = make_executor(contexts, jobs=1)
+    serial = make_executor(contexts, ExecutorSpec())
     serial.close()
     serial.terminate()                   # serial shutdown also no-ops
 
@@ -457,8 +460,8 @@ def test_interrupted_sweep_resumes_cleanly(tmp_path):
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        run_campaigns(_campaigns(1, base_dir=tmp_path, progress=bomb))
-    resumed = run_campaigns(_campaigns(1, base_dir=tmp_path,
+        run_campaigns(_campaigns("serial", base_dir=tmp_path, progress=bomb))
+    resumed = run_campaigns(_campaigns("serial", base_dir=tmp_path,
                                        resume=True))
     assert [_key(result) for result in resumed] == _baseline("fixed")
 

@@ -1,7 +1,8 @@
 """Cross-kernel scheduler tests: the replay matrix and v4 resume.
 
 The acceptance bar for interleaving: campaign results are bit-identical
-across ``--jobs {1,2,4}``, across every budget form, and across
+across the ``serial``, ``pool:n=2`` and ``pool:n=4`` executors, across
+every budget form, and across
 interleave on/off — the scheduler may reorder *when* rounds run, never
 *which* rounds exist or what they produce. The wallclock budget is the
 one clock-driven rule, so its grant decisions are journaled and a
@@ -15,6 +16,7 @@ import pytest
 from repro.engine.budget import BudgetSpec
 from repro.engine.campaign import Campaign, EngineOptions
 from repro.engine.events import KERNEL_GRANTED
+from repro.engine.executor import ExecutorSpec
 from repro.engine.sweep import run_campaigns
 from repro.errors import EngineError
 from repro.search.config import SearchConfig
@@ -25,9 +27,13 @@ from repro.verifier.validator import Validator
 KERNELS = ("p01", "p03")
 BUDGETS = ("fixed", "adaptive:stable=2", "plateau:eps=1,stable=2",
            "wallclock:secs=3600")
+# the matrix's executors; cells are keyed by their worker counts
+EXECUTORS = ("serial", "pool:n=2", "pool:n=4")
+WORKER_COUNTS = ("1", "2", "4")
 
 
-def _campaigns(jobs, budget, interleave, base_dir=None, resume=False):
+def _campaigns(executor, budget, interleave, base_dir=None,
+               resume=False):
     campaigns = []
     for index, name in enumerate(KERNELS):
         bench = benchmark(name)
@@ -38,7 +44,7 @@ def _campaigns(jobs, budget, interleave, base_dir=None, resume=False):
                               synthesis_chains=0,
                               testcase_count=4)
         run_dir = None if base_dir is None else base_dir / name
-        options = EngineOptions(jobs=jobs, run_dir=run_dir,
+        options = EngineOptions(executor=executor, run_dir=run_dir,
                                 resume=resume, budget=budget,
                                 interleave=interleave)
         campaigns.append(Campaign(bench.o0, bench.spec,
@@ -58,15 +64,15 @@ def _key(result):
 _CACHE: dict = {}
 
 
-def _run(jobs, budget, interleave):
+def _run(executor, budget, interleave):
     """One sweep's per-kernel result keys, cached across the matrix.
 
     interleave=False is the *sequential* discipline — each campaign
     runs on its own, exactly the `engine campaign` loop — so the
     matrix really compares the two schedulers, not the flag."""
-    cache_key = (jobs, budget, interleave)
+    cache_key = (executor, budget, interleave)
     if cache_key not in _CACHE:
-        campaigns = _campaigns(jobs, budget, interleave)
+        campaigns = _campaigns(executor, budget, interleave)
         if interleave:
             results = run_campaigns(campaigns)
         else:
@@ -81,7 +87,7 @@ _GRANTS: list = []
 
 
 def _granted():
-    """The (kernel, chain) grants of one interleaved jobs=1 sweep of
+    """The (kernel, chain) grants of one interleaved serial sweep of
     three kernels planning 3, 1 and 2 chains, in grant order."""
     if not _GRANTS:
         def listener(event):
@@ -98,7 +104,7 @@ def _granted():
                                   optimization_chains=chains,
                                   synthesis_chains=0,
                                   testcase_count=4)
-            options = EngineOptions(jobs=1, budget="wallclock:secs=3600",
+            options = EngineOptions(budget="wallclock:secs=3600",
                                     interleave=True, progress=listener)
             campaigns.append(Campaign(bench.o0, bench.spec,
                                       bench.annotations, config=config,
@@ -127,18 +133,19 @@ def test_interleave_rounds_preserves_per_kernel_order():
 # -- the replay matrix --------------------------------------------------------
 
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize("executor", EXECUTORS, ids=WORKER_COUNTS)
 @pytest.mark.parametrize("interleave", [False, True])
-def test_campaigns_bit_identical_across_the_matrix(budget, jobs,
+def test_campaigns_bit_identical_across_the_matrix(budget, executor,
                                                    interleave):
-    """jobs x budget x interleave: all equal the serial baseline."""
-    assert _run(jobs, budget, interleave) == _run(1, budget, False)
+    """executor x budget x interleave: all equal the serial baseline."""
+    assert _run(executor, budget, interleave) == \
+        _run("serial", budget, False)
 
 
 def test_wallclock_high_deadline_matches_fixed():
     """A deadline that never trips must not change a single bit."""
-    assert _run(1, "wallclock:secs=3600", True) == \
-        _run(1, "fixed", False)
+    assert _run("serial", "wallclock:secs=3600", True) == \
+        _run("serial", "fixed", False)
 
 
 def test_metrics_documents_bit_identical_across_jobs(tmp_path):
@@ -146,18 +153,18 @@ def test_metrics_documents_bit_identical_across_jobs(tmp_path):
     kernel's metrics document is byte-for-byte identical at any worker
     count — only the ``runtime`` sections may differ."""
     fingerprints = {}
-    for jobs in (1, 2, 4):
-        base = tmp_path / f"jobs{jobs}"
-        run_campaigns(_campaigns(jobs, "fixed", True, base_dir=base))
-        fingerprints[jobs] = [
+    for executor, count in zip(EXECUTORS, WORKER_COUNTS):
+        base = tmp_path / f"workers{count}"
+        run_campaigns(_campaigns(executor, "fixed", True, base_dir=base))
+        fingerprints[executor] = [
             json.dumps(deterministic_document(
                 load_document(base / name)), sort_keys=True)
             for name in KERNELS]
-    assert fingerprints[2] == fingerprints[1]
-    assert fingerprints[4] == fingerprints[1]
+    assert fingerprints["pool:n=2"] == fingerprints["serial"]
+    assert fingerprints["pool:n=4"] == fingerprints["serial"]
     # the full document carries what determinism cannot: wall-clock
     # runtime and the campaign's scheduler occupancy/latency sections
-    document = load_document(tmp_path / "jobs1" / KERNELS[0])
+    document = load_document(tmp_path / "workers1" / KERNELS[0])
     assert document["complete"] is True
     assert "seconds" in document["runtime"]
     assert "occupancy" in document["runtime"]
@@ -166,7 +173,7 @@ def test_metrics_documents_bit_identical_across_jobs(tmp_path):
 # -- resume from a v4 checkpoint ----------------------------------------------
 
 def test_resume_mid_campaign_from_v4_checkpoint(tmp_path):
-    full = run_campaigns(_campaigns(2, "adaptive:stable=2", True,
+    full = run_campaigns(_campaigns("pool:n=2", "adaptive:stable=2", True,
                                     base_dir=tmp_path))
     # simulate a kill: one kernel loses its last journaled chain, the
     # other a torn trailing line
@@ -177,26 +184,26 @@ def test_resume_mid_campaign_from_v4_checkpoint(tmp_path):
         torn = lines[keep][:25] if name == "p03" else ""
         journal.write_text("\n".join(lines[:keep]) +
                            ("\n" + torn if torn else "\n"))
-    resumed = run_campaigns(_campaigns(2, "adaptive:stable=2", True,
+    resumed = run_campaigns(_campaigns("pool:n=2", "adaptive:stable=2", True,
                                        base_dir=tmp_path, resume=True))
     assert [_key(r) for r in resumed] == [_key(r) for r in full]
 
 
 def test_resume_rejects_changed_interleave_policy(tmp_path):
-    run_campaigns(_campaigns(1, "fixed", True, base_dir=tmp_path))
+    run_campaigns(_campaigns("serial", "fixed", True, base_dir=tmp_path))
     # resuming a roundrobin-recorded kernel through the sequential
     # path must be rejected by its manifest
-    sequential = _campaigns(1, "fixed", False, base_dir=tmp_path,
+    sequential = _campaigns("serial", "fixed", False, base_dir=tmp_path,
                             resume=True)
     with pytest.raises(EngineError, match="differs in interleave"):
         sequential[0].run()
 
 
 def test_resume_rejects_changed_budget_spec(tmp_path):
-    run_campaigns(_campaigns(1, "plateau:eps=1,stable=2", True,
+    run_campaigns(_campaigns("serial", "plateau:eps=1,stable=2", True,
                              base_dir=tmp_path))
     with pytest.raises(EngineError, match="differs in budget"):
-        run_campaigns(_campaigns(1, "plateau:eps=2,stable=2", True,
+        run_campaigns(_campaigns("serial", "plateau:eps=2,stable=2", True,
                                  base_dir=tmp_path, resume=True))
 
 
@@ -214,7 +221,7 @@ class Ticker:
 
 
 def test_wallclock_denies_grants_at_the_deadline(tmp_path):
-    campaigns = _campaigns(1, "wallclock:secs=8", True,
+    campaigns = _campaigns("serial", "wallclock:secs=8", True,
                            base_dir=tmp_path)
     results = run_campaigns(campaigns, clock=Ticker())
     saved = sum(result.chains_saved for result in results)
@@ -228,7 +235,7 @@ def test_wallclock_denies_grants_at_the_deadline(tmp_path):
 def test_wallclock_resume_replays_grants_not_the_clock(tmp_path):
     """A resumed run far past the deadline must re-run the chains the
     journal granted — the decisions, not the clock, are authoritative."""
-    full = run_campaigns(_campaigns(1, "wallclock:secs=8", True,
+    full = run_campaigns(_campaigns("serial", "wallclock:secs=8", True,
                                     base_dir=tmp_path),
                          clock=Ticker())
     # drop the last journaled chain of the first kernel that ran any
@@ -238,16 +245,17 @@ def test_wallclock_resume_replays_grants_not_the_clock(tmp_path):
         if len(lines) > 1:
             journal.write_text("\n".join(lines[:-1]) + "\n")
             break
-    resumed = run_campaigns(_campaigns(1, "wallclock:secs=8", True,
+    resumed = run_campaigns(_campaigns("serial", "wallclock:secs=8", True,
                                        base_dir=tmp_path, resume=True),
                             clock=Ticker(start=1e9))
     assert [_key(r) for r in resumed] == [_key(r) for r in full]
 
 
 def test_sweep_rejects_mismatched_worker_counts():
-    campaigns = _campaigns(1, "fixed", True)
-    object.__setattr__(campaigns[1].options, "jobs", 2)
-    with pytest.raises(EngineError, match="share a worker count"):
+    campaigns = _campaigns("serial", "fixed", True)
+    object.__setattr__(campaigns[1].options, "executor",
+                       ExecutorSpec.parse("pool:n=2"))
+    with pytest.raises(EngineError, match="share an executor"):
         run_campaigns(campaigns)
 
 
@@ -255,14 +263,14 @@ def test_multi_kernel_sweep_requires_the_interleave_policy():
     """Interleaving campaigns whose manifests would say 'none' is the
     silent-policy-switch the v4 fingerprint exists to reject."""
     with pytest.raises(EngineError, match="interleave=True"):
-        run_campaigns(_campaigns(1, "fixed", False))
+        run_campaigns(_campaigns("serial", "fixed", False))
     # a single campaign is trivially both policies; either flag runs
-    solo = _campaigns(1, "fixed", False)[:1]
+    solo = _campaigns("serial", "fixed", False)[:1]
     assert run_campaigns(solo)[0].chains_scheduled == 3
 
 
 def test_sweep_rejects_duplicate_kernel_names():
-    campaigns = _campaigns(1, "fixed", True)
+    campaigns = _campaigns("serial", "fixed", True)
     campaigns[1].name = campaigns[0].name
     with pytest.raises(EngineError, match="duplicate kernel names"):
         run_campaigns(campaigns)
@@ -271,7 +279,7 @@ def test_sweep_rejects_duplicate_kernel_names():
 def test_sweep_rejects_shared_run_directories(tmp_path):
     """Job ids are kernel-agnostic, so one shared journal would fuse
     both kernels' records and poison a later resume."""
-    campaigns = _campaigns(1, "fixed", True)
+    campaigns = _campaigns("serial", "fixed", True)
     for campaign in campaigns:
         object.__setattr__(campaign.options, "run_dir",
                            tmp_path / "shared")

@@ -200,7 +200,7 @@ def test_event_log_refuses_to_append_to_a_foreign_stream(tmp_path):
 
 def test_campaign_streams_events_to_run_dir(tmp_path):
     run_dir = tmp_path / "run"
-    _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
+    _campaign(EngineOptions(run_dir=run_dir)).run()
     events = read_events(run_dir / "events.jsonl")
     kinds = [e.event for e in events]
     assert kinds[0] == CAMPAIGN_STARTED
@@ -224,16 +224,29 @@ def test_campaign_streams_events_to_run_dir(tmp_path):
 
 def test_campaign_streams_to_listener_without_run_dir():
     seen = []
-    _campaign(EngineOptions(jobs=1, progress=seen.append)).run()
+    _campaign(EngineOptions(progress=seen.append)).run()
     assert [e.event for e in seen][0] == CAMPAIGN_STARTED
     assert [e.event for e in seen][-1] == CAMPAIGN_FINISHED
 
 
+@pytest.mark.parametrize("executor,workers",
+                         [("serial", 1), ("pool:n=2", 2)])
+def test_campaign_started_reports_the_worker_count(executor, workers):
+    """The event's ``jobs`` key is the executor's real worker count."""
+    seen = []
+    _campaign(EngineOptions(executor=executor,
+                            progress=seen.append)).run()
+    started = seen[0]
+    assert started.event == CAMPAIGN_STARTED
+    assert started.data["jobs"] == workers
+    assert f"jobs={workers}" in format_event(started)
+
+
 def test_fresh_run_truncates_stale_event_stream(tmp_path):
     run_dir = tmp_path / "run"
-    _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
+    _campaign(EngineOptions(run_dir=run_dir)).run()
     first = read_events(run_dir / "events.jsonl")
-    _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
+    _campaign(EngineOptions(run_dir=run_dir)).run()
     second = read_events(run_dir / "events.jsonl")
     assert len(first) == len(second)        # not doubled
 
@@ -248,7 +261,7 @@ def test_adaptive_events_record_ranking_stability(tmp_path):
     bench = benchmark("p01")
     Campaign(bench.o0, bench.spec, bench.annotations, config=config,
              validator=Validator(),
-             options=EngineOptions(jobs=1, run_dir=run_dir,
+             options=EngineOptions(run_dir=run_dir,
                                    budget="adaptive:stable=2"),
              name="p01").run()
     events = read_events(run_dir / "events.jsonl")
@@ -281,9 +294,11 @@ def _legacy_pipeline():
     return aggregator.final_ranking(bench.o0, CONFIG, merged, results)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_fixed_budget_matches_legacy_path(jobs):
+@pytest.mark.parametrize("executor", ["serial", "pool:n=2"],
+                         ids=["1", "2"])
+def test_fixed_budget_matches_legacy_path(executor):
     legacy = _legacy_pipeline()
-    result = _campaign(EngineOptions(jobs=jobs, budget="fixed")).run()
+    result = _campaign(EngineOptions(executor=executor,
+                                     budget="fixed")).run()
     assert [(str(r.program), r.cost, r.cycles) for r in result.ranked] \
         == [(str(r.program), r.cost, r.cycles) for r in legacy]

@@ -3,7 +3,7 @@
 The acceptance bar (ISSUE 9): a campaign run over socket workers —
 including one whose worker is killed mid-run, and one with the fault
 injector wrapped around the real sockets — ranks bit-identically to
-``--jobs 1``, with lost chains recovered through the same
+a serial run, with lost chains recovered through the same
 retry/requeue/quarantine machinery, membership streamed as v4 events,
 and the transport frozen in the v8 manifest.
 
@@ -26,10 +26,11 @@ from repro.engine.events import (CHAIN_COMPLETED, JOB_REQUEUED,
                                  JOB_RETRIED, WORKER_JOINED,
                                  WORKER_LEFT, ProgressEvent,
                                  format_event, read_events)
+from repro.engine.executor import ExecutorSpec
 from repro.engine.remote import RemoteExecutor, run_worker
 from repro.engine.sweep import run_campaigns
 from repro.engine.transport import HELLO, WIRE_VERSION, send_frame
-from repro.errors import EngineError, TransportError
+from repro.errors import EngineError, RegistryError, TransportError
 from repro.search.config import SearchConfig
 from repro.suite.registry import benchmark
 from repro.telemetry import load_document
@@ -48,7 +49,8 @@ def _run_base(tmp_path, label):
     return base
 
 
-def _campaigns(*, base_dir=None, resume=False, workers=0, faults=None,
+def _campaigns(*, base_dir=None, resume=False, executor="serial",
+               faults=None,
                job_timeout=None, retries=None, progress=None):
     campaigns = []
     for index, name in enumerate(KERNELS):
@@ -60,8 +62,8 @@ def _campaigns(*, base_dir=None, resume=False, workers=0, faults=None,
                               synthesis_chains=0,
                               testcase_count=4)
         run_dir = None if base_dir is None else base_dir / name
-        options = EngineOptions(jobs=1, run_dir=run_dir, resume=resume,
-                                interleave=True, workers=workers,
+        options = EngineOptions(executor=executor, run_dir=run_dir,
+                                resume=resume, interleave=True,
                                 faults=faults, job_timeout=job_timeout,
                                 retries=retries, progress=progress)
         campaigns.append(Campaign(bench.o0, bench.spec,
@@ -89,12 +91,13 @@ def _baseline():
     return _BASELINE
 
 
-# -- the headline: --workers N is bit-identical to --jobs 1 -------------------
+# -- the headline: tcp:spawn=N is bit-identical to serial --------------------
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_loopback_workers_rank_bit_identical(workers, tmp_path):
     base = _run_base(tmp_path, f"loopback-w{workers}")
-    results = run_campaigns(_campaigns(base_dir=base, workers=workers,
+    results = run_campaigns(_campaigns(base_dir=base,
+                                       executor=f"tcp:spawn={workers}",
                                        job_timeout=120.0))
     assert [_key(result) for result in results] == _baseline()
     for result in results:
@@ -160,15 +163,13 @@ def test_worker_killed_mid_run_recovers_bit_identical(tmp_path):
 ])
 def test_fault_injection_over_real_sockets_ranks_bit_identical(
         faults, tmp_path):
-    """The CI fault matrix's distributed leg: FaultInjectingExecutor
+    """The CI fault matrix's ``tcp:spawn=2`` leg: FaultInjectingExecutor
     wrapped (by the sweep, as in production) around a RemoteExecutor
     with two loopback worker subprocesses."""
     base = _run_base(tmp_path, f"fault-{faults.split('seed=')[1][0]}")
     results = run_campaigns(
-        _campaigns(base_dir=base, faults=faults, job_timeout=5.0,
-                   retries=8),
-        executor_factory=lambda contexts: RemoteExecutor(contexts,
-                                                         spawn=2))
+        _campaigns(base_dir=base, executor="tcp:spawn=2", faults=faults,
+                   job_timeout=5.0, retries=8))
     assert [_key(result) for result in results] == _baseline()
     for result in results:
         assert result.chains_quarantined == 0
@@ -177,7 +178,7 @@ def test_fault_injection_over_real_sockets_ranks_bit_identical(
 # -- membership, telemetry, reporting -----------------------------------------
 
 def test_worker_occupancy_lands_in_the_runtime_section(tmp_path):
-    run_campaigns(_campaigns(base_dir=tmp_path, workers=2,
+    run_campaigns(_campaigns(base_dir=tmp_path, executor="tcp:spawn=2",
                              job_timeout=120.0))
     delivered = 0
     completed = 0
@@ -284,19 +285,21 @@ def test_all_spawned_workers_dead_is_a_transport_error():
 # -- options, manifest, CLI ---------------------------------------------------
 
 def test_workers_option_is_validated():
-    with pytest.raises(EngineError, match="at least 0"):
-        EngineOptions(workers=-1)
-    with pytest.raises(EngineError, match="cannot be combined"):
-        EngineOptions(workers=2, jobs=4)
-    assert EngineOptions(workers=2).transport_policy == \
+    with pytest.raises(RegistryError, match="spawn must be >= 1"):
+        EngineOptions(executor="tcp:spawn=0")
+    with pytest.raises(RegistryError, match="takes no parameters"):
+        EngineOptions(executor="serial:spawn=2")
+    assert EngineOptions(executor="tcp:spawn=2").transport_policy == \
         f"tcp:wire={WIRE_VERSION}"
+    assert EngineOptions(executor="pool:n=2").transport_policy == "local"
     assert EngineOptions().transport_policy == "local"
 
 
 def test_sweep_rejects_mismatched_worker_counts():
     campaigns = _campaigns()
-    object.__setattr__(campaigns[1].options, "workers", 2)
-    with pytest.raises(EngineError, match="share a --workers"):
+    object.__setattr__(campaigns[1].options, "executor",
+                       ExecutorSpec.parse("tcp:spawn=2"))
+    with pytest.raises(EngineError, match="share an executor"):
         run_campaigns(campaigns)
 
 
@@ -308,7 +311,8 @@ def test_resume_rejects_a_transport_switch(tmp_path):
     assert manifest["transport"] == "local"
     with pytest.raises(EngineError, match="differs in transport"):
         run_campaigns(_campaigns(base_dir=tmp_path, resume=True,
-                                 workers=2, job_timeout=120.0))
+                                 executor="tcp:spawn=2",
+                                 job_timeout=120.0))
 
 
 def test_cli_worker_verb_maps_errors_to_the_taxonomy(capsys):
@@ -326,22 +330,28 @@ def test_cli_worker_verb_maps_errors_to_the_taxonomy(capsys):
 
 
 def test_cli_campaign_with_workers_round_trips(tmp_path, capsys):
-    """The full CLI path: ``--workers 2`` spawns real ``repro engine
-    worker`` subprocesses and the report renders their occupancy."""
+    """The full CLI path: ``--executor tcp:spawn=2`` spawns real
+    ``repro engine worker`` subprocesses and the report renders their occupancy."""
     run_dir = tmp_path / "run"
     code = cli.main(["engine", "campaign", "p01", "--chains", "2",
-                     "--workers", "2", "--job-timeout", "120",
+                     "--executor", "tcp:spawn=2", "--job-timeout", "120",
                      "--run-dir", str(run_dir)])
     out = capsys.readouterr().out
     assert code == 0
     assert "p01" in out
+    assert "(executor=tcp:spawn=2," in out
     report = cli.main(["engine", "report", str(run_dir)])
     assert report == 0
     assert "workers: " in capsys.readouterr().out
 
 
 def test_cli_rejects_workers_with_jobs(capsys):
-    code = cli.main(["engine", "campaign", "p01", "--chains", "2",
-                     "--workers", "2", "--jobs", "2"])
-    assert code == 2
-    assert "cannot be combined" in capsys.readouterr().err
+    """One executor spec replaced the two flags: neither parses."""
+    for command in (["engine", "campaign", "p01"], ["optimize", "p01"]):
+        for retired in ("--jobs", "--workers"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(command + ["--executor", "tcp:spawn=2",
+                                    retired, "2"])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {retired} 2" in \
+                capsys.readouterr().err

@@ -42,7 +42,7 @@ def _campaign(base_dir, *, resume=False):
                           testcase_count=4)
     # an adaptive budget makes per-chain grant decisions, so the
     # grants journal has records for the fuzz to torture
-    options = EngineOptions(jobs=1, run_dir=base_dir / "p01",
+    options = EngineOptions(run_dir=base_dir / "p01",
                             resume=resume, budget="adaptive:stable=2")
     return Campaign(bench.o0, bench.spec, bench.annotations,
                     config=config, validator=Validator(),
@@ -123,7 +123,7 @@ def test_recovery_journal_cut_keeps_quarantine_sticky(tmp_path):
                             optimization_chains=2,
                             synthesis_chains=0, testcase_count=4),
         validator=Validator(),
-        options=EngineOptions(jobs=1, run_dir=base / "p01",
+        options=EngineOptions(run_dir=base / "p01",
                               faults="faults:stall=1.0",
                               job_timeout=0.1, retries=1),
         name="p01")])
@@ -140,7 +140,7 @@ def test_recovery_journal_cut_keeps_quarantine_sticky(tmp_path):
                             optimization_chains=2,
                             synthesis_chains=0, testcase_count=4),
         validator=Validator(),
-        options=EngineOptions(jobs=1, run_dir=base / "p01",
+        options=EngineOptions(run_dir=base / "p01",
                               resume=True, job_timeout=0.1,
                               retries=1),
         name="p01")])

@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.engine.executor import ExecutorSpec
 from repro.engine.jobs import ChainJob
 from repro.engine.remote import RemoteExecutor, run_worker
 from repro.engine.transport import (BYE, CONTEXT, GRANT, HEARTBEAT,
@@ -24,8 +25,7 @@ from repro.engine.transport import (BYE, CONTEXT, GRANT, HEARTBEAT,
                                     WIRE_VERSION, FrameBuffer,
                                     decode_frame, encode_frame,
                                     frame_problem, parse_endpoint,
-                                    recv_frame, send_frame,
-                                    transport_spec)
+                                    recv_frame, send_frame)
 from repro.engine.worker import CampaignContext, run_chain_job
 from repro.errors import (EngineError, TransportError,
                           WorkerCrashError)
@@ -129,9 +129,12 @@ def test_parse_endpoint_grammar():
 
 
 def test_transport_spec_is_the_manifest_form():
-    assert transport_spec(0) == "local"
-    assert transport_spec(1) == f"tcp:wire={WIRE_VERSION}"
-    assert transport_spec(8) == f"tcp:wire={WIRE_VERSION}"
+    """The manifest's v8 ``transport`` field: the frame vocabulary,
+    never the worker count."""
+    for spec, transport in (("serial", "local"),
+                            ("pool:n=2", "local"),
+                            ("tcp:spawn=2", "tcp:wire=1")):
+        assert ExecutorSpec.parse(spec).transport == transport
 
 
 # -- worker-side read path: every cut of a frame ------------------------------

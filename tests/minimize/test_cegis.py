@@ -109,7 +109,7 @@ def test_hardened_fresh_campaign_seeds_from_the_persisted_suite(tmp_path):
     run_dir = tmp_path / "p01"
     seeded = _testcases(1, seed=99)
     CounterexampleSuite.for_run_dir(run_dir).append(seeded)
-    result = _campaign(EngineOptions(jobs=1, run_dir=run_dir,
+    result = _campaign(EngineOptions(run_dir=run_dir,
                                      harden=True)).run()
     assert result.rewrite is not None
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -128,7 +128,7 @@ def test_unhardened_campaign_ignores_the_persisted_suite(tmp_path):
     run_dir = tmp_path / "p01"
     CounterexampleSuite.for_run_dir(run_dir).append(
         _testcases(1, seed=99))
-    _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
+    _campaign(EngineOptions(run_dir=run_dir)).run()
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["harden"] is False
     assert len(manifest["testcases"]) == CONFIG.testcase_count
@@ -136,17 +136,17 @@ def test_unhardened_campaign_ignores_the_persisted_suite(tmp_path):
 
 def test_resume_rejects_a_changed_minimize_policy(tmp_path):
     run_dir = tmp_path / "p01"
-    _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
+    _campaign(EngineOptions(run_dir=run_dir)).run()
     with pytest.raises(EngineError, match="differs in minimize"):
-        _campaign(EngineOptions(jobs=1, run_dir=run_dir, resume=True,
+        _campaign(EngineOptions(run_dir=run_dir, resume=True,
                                 minimize=True)).run()
 
 
 def test_resume_rejects_a_changed_harden_policy(tmp_path):
     run_dir = tmp_path / "p01"
-    _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
+    _campaign(EngineOptions(run_dir=run_dir)).run()
     with pytest.raises(EngineError, match="differs in harden"):
-        _campaign(EngineOptions(jobs=1, run_dir=run_dir, resume=True,
+        _campaign(EngineOptions(run_dir=run_dir, resume=True,
                                 harden=True)).run()
 
 
@@ -156,9 +156,9 @@ def test_hardened_resume_replays_the_manifest_suite(tmp_path):
     run_dir = tmp_path / "p01"
     CounterexampleSuite.for_run_dir(run_dir).append(
         _testcases(1, seed=99))
-    options = EngineOptions(jobs=1, run_dir=run_dir, harden=True)
+    options = EngineOptions(run_dir=run_dir, harden=True)
     full = _campaign(options).run()
-    resumed = _campaign(EngineOptions(jobs=1, run_dir=run_dir,
+    resumed = _campaign(EngineOptions(run_dir=run_dir,
                                       resume=True, harden=True)).run()
     assert [(str(r.program), r.cycles) for r in resumed.ranked] \
         == [(str(r.program), r.cycles) for r in full.ranked]
