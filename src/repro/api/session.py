@@ -22,12 +22,8 @@ from repro.api.targets import Target
 from repro.cost.terms import CostSpec
 from repro.engine.campaign import (Campaign, CampaignResult,
                                    EngineOptions)
-from repro.engine.checkpoint import CheckpointStore
-from repro.minimize.driver import Minimizer, MinimizeResult
-from repro.perfsim.model import actual_runtime
 from repro.search.config import SearchConfig
 from repro.search.strategies import StrategySpec
-from repro.telemetry import MetricsLog
 from repro.verifier.validator import Validator
 from repro.x86.printer import format_program
 
@@ -66,8 +62,8 @@ class Result:
     quarantined_jobs: list[str] = field(default_factory=list)
     #: Deterministic search-telemetry summary (merged over all chains).
     telemetry: dict[str, Any] = field(default_factory=dict)
-    #: Shrink summary (``MinimizeResult.to_json()`` minus runtime) when
-    #: the session ran with minimization; None otherwise.
+    #: Shrink summary (``MinimizeResult.to_json()``) when the engine
+    #: minimized the winner; None otherwise.
     minimize: dict[str, Any] | None = None
 
     @property
@@ -117,10 +113,11 @@ class Session:
             name like ``"greedy"``, or None for the paper's MCMC.
         validator: sound validator for candidate promotion; defaults to
             a fresh :class:`Validator`, pass None to skip validation.
-        engine: execution options — worker count, checkpoint
-            directory, chain budget (``fixed`` / ``adaptive:stable=K``),
-            winner minimization (``minimize=True``) and a live progress
-            listener.
+        engine: execution options — executor spec (``serial``,
+            ``pool:n=N``, ``tcp:spawn=N``), checkpoint directory, chain
+            budget (``fixed`` / ``adaptive:stable=K``), winner
+            minimization (``minimize=True``, applied by the engine) and
+            a live progress listener.
     """
 
     def __init__(self, target: Target, *,
@@ -157,42 +154,12 @@ class Session:
         campaign = self.campaign()
         return self.wrap(campaign, campaign.run())
 
-    def _minimize_outcome(self, campaign: Campaign,
-                          outcome: CampaignResult) -> MinimizeResult | None:
-        """Shrink the campaign's verified winner, per the options.
-
-        Returns None when minimization is off, the campaign found no
-        verified rewrite, or the rewrite is already minimal. Runs in
-        the orchestrating process on the campaign's merged suite, so
-        the shrunk program is a pure function of the campaign outcome
-        — bit-identical at any worker count.
-        """
-        options = campaign.options
-        if options.minimize is None or outcome.rewrite is None \
-                or not outcome.verified:
-            return None
-        validator = (self.validator
-                     if isinstance(self.validator, Validator)
-                     else Validator())
-        minimizer = Minimizer(campaign.target, campaign.spec,
-                              campaign.annotations,
-                              validator=validator,
-                              spec_passes=options.minimize)
-        minimized = minimizer.minimize(outcome.rewrite,
-                                       testcases=outcome.testcases)
-        if options.run_dir is not None:
-            if options.harden and minimized.cegis_testcases:
-                from repro.minimize.cegis import CounterexampleSuite
-                suite = CounterexampleSuite.for_run_dir(options.run_dir)
-                suite.note(outcome.testcases)
-                suite.append(minimized.cegis_testcases)
-            log = MetricsLog(
-                CheckpointStore(options.run_dir).metrics_path)
-            log.record_minimize(campaign.name, minimized.to_json())
-        return minimized
-
     def wrap(self, campaign: Campaign, outcome: CampaignResult) -> Result:
-        """Report one campaign outcome as a :class:`Result`."""
+        """Report one campaign outcome as a :class:`Result`.
+
+        Pure formatting: the engine has already applied every option,
+        winner minimization included.
+        """
         merged = outcome.merged_telemetry()
         telemetry = {
             "proposals": merged.proposals,
@@ -202,24 +169,15 @@ class Session:
                 round(merged.testcases_per_proposal, 3),
             "moves": {kind: row for kind, row in merged.move_table()},
         }
-        minimized = self._minimize_outcome(campaign, outcome)
-        rewrite = outcome.rewrite
-        rewrite_cycles = outcome.rewrite_cycles
-        speedup = outcome.speedup
-        if minimized is not None:
-            rewrite = minimized.program
-            rewrite_cycles = actual_runtime(rewrite)
-            if rewrite_cycles:
-                speedup = outcome.target_cycles / rewrite_cycles
         return Result(
             name=self.target.name,
             verified=outcome.verified,
             target_asm=format_program(outcome.target.compact()),
-            rewrite_asm=(None if rewrite is None
-                         else format_program(rewrite)),
+            rewrite_asm=(None if outcome.rewrite is None
+                         else format_program(outcome.rewrite)),
             target_cycles=outcome.target_cycles,
-            rewrite_cycles=rewrite_cycles,
-            speedup=speedup,
+            rewrite_cycles=outcome.rewrite_cycles,
+            speedup=outcome.speedup,
             seconds=outcome.seconds,
             cost=self.cost.spec_string(),
             strategy=self.strategy.spec_string(),
@@ -233,6 +191,6 @@ class Session:
             chains_quarantined=outcome.chains_quarantined,
             quarantined_jobs=list(outcome.quarantined_jobs),
             telemetry=telemetry,
-            minimize=(None if minimized is None
-                      else minimized.to_json()),
+            minimize=(None if outcome.minimize is None
+                      else outcome.minimize.to_json()),
         )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.cost.terms import CostSpec
 from repro.engine import serialize
@@ -54,6 +55,9 @@ from repro.testgen.generator import TestcaseGenerator
 from repro.testgen.testcase import Testcase
 from repro.verifier.validator import LiveSpec, Validator
 from repro.x86.program import Program
+
+if TYPE_CHECKING:                               # pragma: no cover
+    from repro.minimize.driver import MinimizeResult
 
 INTERLEAVE_NONE = "none"
 INTERLEAVE_ROUNDROBIN = "roundrobin"
@@ -208,9 +212,14 @@ class CampaignResult:
 
     Attributes:
         rewrite: the best verified rewrite (None if none was found —
-            the target itself always remains a valid answer).
+            the target itself always remains a valid answer). Under
+            ``EngineOptions.minimize`` it is the winner after
+            shrinking, every step re-proved against the target.
         verified: True when ``rewrite`` passed the sound validator.
-        target_cycles / rewrite_cycles: modeled runtimes for reporting.
+        target_cycles / rewrite_cycles: modeled runtimes for reporting
+            (of the shrunk rewrite, when minimized).
+        ranked: the final verified ranking, as the chains found it
+            (minimization shrinks only the reported ``rewrite``).
         synthesis / optimization: per-chain phase diagnostics.
         testcases: the final (possibly counterexample-refined) suite.
         seconds: wall-clock time of the whole run.
@@ -223,6 +232,10 @@ class CampaignResult:
             degrades gracefully, aggregating over the survivors.
         quarantined_jobs: the abandoned jobs' ids, sorted — always
             reported, never silently dropped.
+        minimize: the shrink report
+            (:class:`~repro.minimize.driver.MinimizeResult`) when the
+            campaign ran with ``EngineOptions.minimize`` and found a
+            rewrite; None otherwise.
     """
 
     target: Program
@@ -241,6 +254,7 @@ class CampaignResult:
     chains_saved: int = 0
     chains_quarantined: int = 0
     quarantined_jobs: list[str] = field(default_factory=list)
+    minimize: MinimizeResult | None = None
 
     @property
     def speedup(self) -> float:

@@ -28,6 +28,10 @@ pinned for all of them by ``tests/engine/test_executor_contract.py``):
 * ``close()`` and ``terminate()`` are both idempotent, in either
   order — the KeyboardInterrupt-during-shutdown case.
 
+Each executor also declares its ``transport`` (``local`` or
+``tcp:wire=N``), the value a campaign's v8 manifest freezes; a sweep
+refuses an executor whose transport differs from its options'.
+
 The executor is shared by *every* kernel of a campaign sweep: contexts
 are keyed by kernel name and installed once per worker process, so an
 interleaved campaign keeps one warm pool saturated instead of forking
@@ -49,7 +53,7 @@ from repro.engine import worker
 from repro.engine.grammar import read_spec
 from repro.engine.jobs import ChainJob, job_from_json, job_to_json
 from repro.engine.serialize import Json
-from repro.engine.transport import WIRE_VERSION
+from repro.engine.transport import LOCAL_TRANSPORT, TCP_TRANSPORT
 from repro.engine.worker import CampaignContext
 from repro.errors import (EngineError, JobTimeoutError, RegistryError,
                           ReproError, WorkerCrashError,
@@ -58,6 +62,8 @@ from repro.errors import (EngineError, JobTimeoutError, RegistryError,
 
 class SerialExecutor:
     """Runs every job in the calling process, in submission order."""
+
+    transport = LOCAL_TRANSPORT
 
     def __init__(self, contexts: dict[str, CampaignContext]) -> None:
         self.contexts = contexts
@@ -128,6 +134,8 @@ class ProcessPoolExecutor:
     callbacks, which is what lets the scheduler interleave grants from
     many kernels while earlier waves are still in flight.
     """
+
+    transport = LOCAL_TRANSPORT
 
     def __init__(self, contexts: dict[str, CampaignContext],
                  jobs: int) -> None:
@@ -253,8 +261,7 @@ class ExecutorSpec:
     def transport(self) -> str:
         """The manifest (v8) form: the wire a resume must agree on,
         ``local`` or ``tcp:wire=N``, never the worker count."""
-        return f"tcp:wire={WIRE_VERSION}" if self.kind == "tcp" \
-            else "local"
+        return TCP_TRANSPORT if self.kind == "tcp" else LOCAL_TRANSPORT
 
 
 def make_executor(contexts: dict[str, CampaignContext],

@@ -59,8 +59,8 @@ from repro.engine import worker
 from repro.engine.jobs import ChainJob, job_from_json, job_to_json
 from repro.engine.serialize import Json
 from repro.engine.transport import (BYE, CONTEXT, GRANT, HEARTBEAT, HELLO,
-                                    RESULT, WIRE_VERSION, FrameBuffer,
-                                    recv_frame, send_frame)
+                                    RESULT, TCP_TRANSPORT, WIRE_VERSION,
+                                    FrameBuffer, recv_frame, send_frame)
 from repro.engine.worker import CampaignContext
 from repro.errors import (EngineError, JobTimeoutError, TransportError,
                           WorkerCrashError)
@@ -98,6 +98,8 @@ class RemoteExecutor:
     executor only listens: start workers by hand (any host that can
     reach ``self.address``) and they join the running campaign.
     """
+
+    transport = TCP_TRANSPORT
 
     def __init__(self, contexts: dict[str, CampaignContext], *,
                  spawn: int = 0, host: str = "127.0.0.1",

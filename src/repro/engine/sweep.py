@@ -25,7 +25,8 @@ resumed campaign replays the journal verbatim before making any live
 decision, which keeps replay deterministic even under a deadline.
 
 :class:`KernelSchedule` is one kernel's steppable state machine
-(synthesis wave → optimization rounds → final aggregate);
+(synthesis wave → optimization rounds → final aggregate, whose winner
+``EngineOptions.minimize`` shrinks);
 :func:`run_campaigns` is the driver that interleaves any number of
 them over one executor. A single-kernel :meth:`Campaign.run` is just
 the one-schedule sweep.
@@ -55,9 +56,11 @@ from repro.engine.worker import CampaignContext
 from repro.errors import (CorruptPayloadError, EngineError,
                           JobTimeoutError, StaleGrantError,
                           WorkerCrashError)
+from repro.minimize.driver import Minimizer, MinimizeResult
 from repro.perfsim.model import actual_runtime
 from repro.telemetry import ChainTelemetry, MetricsLog
 from repro.telemetry.metrics import Series
+from repro.testgen.testcase import Testcase
 from repro.x86.program import Program
 
 if TYPE_CHECKING:                               # pragma: no cover
@@ -532,6 +535,11 @@ class KernelSchedule:
             if best.cycles <= target_cycles:
                 rewrite = best.program.compact()
                 rewrite_cycles = best.cycles
+        minimized = None
+        if rewrite is not None and campaign.options.minimize is not None:
+            minimized = self._minimize(rewrite, merged)
+            rewrite = minimized.program
+            rewrite_cycles = actual_runtime(rewrite)
         now = self.clock()
         result = CampaignResult(
             target=campaign.target,
@@ -550,6 +558,7 @@ class KernelSchedule:
             chains_saved=chains_saved,
             chains_quarantined=len(self._quarantined),
             quarantined_jobs=sorted(self._quarantined),
+            minimize=minimized,
         )
         occupancy = (round(chains_scheduled / self.chains_planned, 4)
                      if self.chains_planned else 0.0)
@@ -565,6 +574,29 @@ class KernelSchedule:
         if self.metrics is not None:
             self._journal_campaign_metrics(result.seconds)
         self._result = result
+
+    def _minimize(self, rewrite: Program,
+                  testcases: list[Testcase]) -> MinimizeResult:
+        """Shrink the verified winner per ``EngineOptions.minimize``.
+
+        Runs in the orchestrating process on the campaign's merged
+        suite, so the shrunk program is a pure function of the
+        campaign outcome: bit-identical on every executor, and again
+        on a resume (whose ``minimize`` record dedups). A hardened
+        campaign persists the refuted shrink candidates'
+        counterexamples like its chains' own.
+        """
+        campaign = self.campaign
+        minimizer = Minimizer(campaign.target, campaign.spec,
+                              campaign.annotations,
+                              validator=campaign.validator,
+                              spec_passes=campaign.options.minimize)
+        minimized = minimizer.minimize(rewrite, testcases=testcases)
+        if self.cex_suite is not None:
+            self.cex_suite.append(minimized.cegis_testcases)
+        if self.metrics is not None:
+            self.metrics.record_minimize(self.name, minimized.to_json())
+        return minimized
 
     def _journal_campaign_metrics(self, seconds: float) -> None:
         """Seal the metrics journal: backfill + the campaign record.
@@ -642,10 +674,12 @@ def run_campaigns(campaigns: list[Campaign], *,
     per-kernel contexts and returns any object speaking the
     submit/next_result protocol — the seam tests and embedders use to
     run a sweep over, say, a hand-configured
-    :class:`~repro.engine.remote.RemoteExecutor`. Fault injection
-    (``--faults``) still wraps whatever the factory returns. Without a
-    factory, ``EngineOptions.executor`` names the executor
-    (:func:`~repro.engine.executor.make_executor`).
+    :class:`~repro.engine.remote.RemoteExecutor`. Its ``transport``
+    must match the options' (``tcp:spawn=N`` options for a
+    ``RemoteExecutor``), or the sweep is refused before any job is
+    submitted. Fault injection (``--faults``) still wraps whatever the
+    factory returns. Without a factory, ``EngineOptions.executor``
+    names the executor (:func:`~repro.engine.executor.make_executor`).
 
     The driver is also the recovery layer: every granted job carries
     a per-attempt deadline (``--job-timeout``, capped exponential
@@ -701,9 +735,20 @@ def run_campaigns(campaigns: list[Campaign], *,
     by_name = {schedule.name: schedule for schedule in schedules}
     contexts = {schedule.name: schedule.context
                 for schedule in schedules}
-    executor = (executor_factory(contexts)
-                if executor_factory is not None
-                else make_executor(contexts, first.executor))
+    if executor_factory is None:
+        executor = make_executor(contexts, first.executor)
+    else:
+        executor = executor_factory(contexts)
+        transport = getattr(executor, "transport", None)
+        if transport != first.transport_policy:
+            # every manifest already froze the options' transport; a
+            # run over another wire would journal the wrong one
+            executor.terminate()
+            raise EngineError(
+                f"the executor factory built a {transport} executor, "
+                f"but the campaigns' options name transport "
+                f"{first.transport_policy} (executor "
+                f"{first.executor.spec_string()})")
     if faults is not None and faults.active:
         executor = FaultInjectingExecutor(executor, faults)
     start = clock()

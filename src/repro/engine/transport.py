@@ -50,6 +50,11 @@ from repro.errors import EngineError, TransportError
 #: coordinator and worker disagreeing on it must not exchange jobs.
 WIRE_VERSION = 1
 
+#: The manifest (v8) ``transport`` values: what each executor declares
+#: as its ``transport`` attribute and a resume must agree on.
+LOCAL_TRANSPORT = "local"
+TCP_TRANSPORT = f"tcp:wire={WIRE_VERSION}"
+
 HELLO = "hello"
 CONTEXT = "context"
 GRANT = "grant"

@@ -11,7 +11,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.engine.campaign import CampaignResult, EngineOptions
+from repro.engine.campaign import (Campaign, CampaignResult,
+                                   EngineOptions)
 from repro.perfsim.model import actual_runtime
 from repro.search.config import SearchConfig
 from repro.suite.registry import Benchmark
@@ -104,30 +105,25 @@ class BenchmarkOutcome:
                 f"{'' if self.stoke_verified else '  (unverified)'}")
 
 
-def _session(bench: Benchmark, *, seed: int, synthesis: bool,
-             chains: int, engine: EngineOptions | None):
-    """The assembled :class:`Session` for one benchmark's O0 target."""
-    from repro.api.session import Session
-    from repro.api.targets import Target
+def _campaign(bench: Benchmark, *, seed: int, synthesis: bool,
+              chains: int, engine: EngineOptions | None) -> Campaign:
+    """The campaign for one benchmark's O0 target, named after the
+    kernel so progress events carry its name."""
     config = search_config(bench, seed=seed, synthesis=synthesis,
                            chains=chains)
-    return Session(
-        Target(program=bench.o0, spec=bench.spec,
-               annotations=bench.annotations, name=bench.name),
-        config=config, validator=Validator(), engine=engine)
+    return Campaign(bench.o0, bench.spec, bench.annotations,
+                    config=config, validator=Validator(),
+                    options=engine, name=bench.name)
 
 
 def run_stoke(bench: Benchmark, *, seed: int = 0,
               synthesis: bool = False,
               chains: int = 1,
               engine: EngineOptions | None = None) -> CampaignResult:
-    """Run the full pipeline on one benchmark's O0 target.
-
-    Runs through :class:`Session`, naming the target after the kernel
-    so progress events carry its name.
-    """
-    return _session(bench, seed=seed, synthesis=synthesis,
-                    chains=chains, engine=engine).run().stoke
+    """Run the full pipeline on one benchmark's O0 target: the
+    one-kernel sweep."""
+    return _campaign(bench, seed=seed, synthesis=synthesis,
+                     chains=chains, engine=engine).run()
 
 
 def _outcome(bench: Benchmark,
@@ -160,10 +156,11 @@ def evaluate_benchmark(bench: Benchmark, *, seed: int = 0,
                        chains: int = 1,
                        engine: EngineOptions | None = None) \
         -> BenchmarkOutcome:
-    """Measure the Figure 10 column for one kernel."""
-    result = run_stoke(bench, seed=seed, synthesis=synthesis,
-                       chains=chains, engine=engine)
-    return _outcome(bench, result)
+    """Measure the Figure 10 column for one kernel: the one-kernel
+    case of :func:`evaluate_campaign`."""
+    return evaluate_campaign(
+        [bench], seed=seed, synthesis=synthesis, chains=chains,
+        engine_for=lambda _bench: engine or EngineOptions())[0]
 
 
 def evaluate_campaign(benches: list[Benchmark], *, seed: int = 0,
@@ -180,17 +177,16 @@ def evaluate_campaign(benches: list[Benchmark], *, seed: int = 0,
     follow the sequential sweep's scheme (``seed + index``) so the two
     paths stay comparable; ``engine_for`` supplies each kernel's
     options (run directory, resume, budget) like the sequential loop
-    would — they must carry ``interleave=True``, since this *is* the
-    interleaving scheduler and each kernel's manifest records that.
+    would — for more than one kernel they must carry
+    ``interleave=True``, since this *is* the interleaving scheduler
+    and each kernel's manifest records that.
     """
     from repro.engine.sweep import run_campaigns
     engine_for = engine_for or (
         lambda bench: EngineOptions(interleave=True))
-    sessions = [
-        _session(bench, seed=seed + index, synthesis=synthesis,
-                 chains=chains, engine=engine_for(bench))
-        for index, bench in enumerate(benches)]
-    campaigns = [session.campaign() for session in sessions]
-    results = run_campaigns(campaigns)
+    results = run_campaigns([
+        _campaign(bench, seed=seed + index, synthesis=synthesis,
+                  chains=chains, engine=engine_for(bench))
+        for index, bench in enumerate(benches)])
     return [_outcome(bench, result)
             for bench, result in zip(benches, results)]

@@ -3,9 +3,9 @@ and run-directory analytics.
 
 The subsystem has three layers, bottom-up:
 
-* :mod:`repro.telemetry.metrics` — counters, gauges, fixed-bucket
-  histograms, and deterministically-downsampled series; every merge is
-  bit-identical at any worker count.
+* :mod:`repro.telemetry.metrics` — fixed-bucket histograms and
+  deterministically-downsampled series; every merge is bit-identical
+  at any worker count.
 * :mod:`repro.telemetry.chain` — :class:`ChainTelemetry`, what one
   MCMC chain records about itself (per-move acceptance, cost deltas,
   the Fig. 4 cost trace, the Fig. 5 testcases histogram) plus an
@@ -24,12 +24,12 @@ from repro.telemetry.journal import (METRICS_VERSION, MetricsLog,
                                      deterministic_document,
                                      iter_metrics, metrics_document,
                                      read_metrics)
-from repro.telemetry.metrics import (Counter, Gauge, Histogram, Series,
-                                     TelemetryError, safe_rate)
+from repro.telemetry.metrics import (Histogram, Series, TelemetryError,
+                                     safe_rate)
 from repro.telemetry.report import (discover_run_dirs, load_document,
                                     render_report, sparkline)
 
-__all__ = ["ChainTelemetry", "Counter", "Gauge", "Histogram",
+__all__ = ["ChainTelemetry", "Histogram",
            "METRICS_VERSION", "MetricsLog", "RECORD_CAMPAIGN",
            "RECORD_CHAIN", "RECORD_MINIMIZE", "Series",
            "TelemetryError", "deterministic_document",

@@ -1,5 +1,5 @@
-"""Deterministic metric primitives: counters, gauges, histograms,
-and downsampled series.
+"""Deterministic metric primitives: histograms and downsampled
+series.
 
 Search telemetry has one hard requirement the usual metrics libraries
 do not: *bit-identical merges*. A campaign's chains run across an
@@ -10,9 +10,6 @@ Every primitive here is therefore plain integer/float arithmetic over
 values the chain itself computed (no wall clocks, no sampling RNG),
 serializes to stable JSON, and merges associatively:
 
-* :class:`Counter` — a monotonic count; merge adds.
-* :class:`Gauge` — a last-written value; merge keeps the maximum (the
-  only order-insensitive choice without timestamps).
 * :class:`Histogram` — fixed integer buckets ``0..cap`` plus one
   overflow bucket; merge adds bucket-wise. Used for the
   testcases-evaluated-per-proposal distribution (the paper's Fig. 5).
@@ -40,51 +37,6 @@ Json = dict
 
 class TelemetryError(ReproError):
     """A malformed telemetry record or an impossible merge."""
-
-
-@dataclass
-class Counter:
-    """A monotonic event count; merge adds."""
-
-    value: int = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def merge(self, other: Counter) -> None:
-        self.value += other.value
-
-    def to_json(self) -> int:
-        return self.value
-
-    @classmethod
-    def from_json(cls, data) -> Counter:
-        return cls(value=int(data))
-
-
-@dataclass
-class Gauge:
-    """A point-in-time value; merge keeps the maximum.
-
-    Max is the one merge rule that is associative, commutative, and
-    needs no timestamps — exactly what order-insensitive aggregation
-    over an arbitrary worker count requires.
-    """
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def merge(self, other: Gauge) -> None:
-        self.value = max(self.value, other.value)
-
-    def to_json(self) -> float:
-        return self.value
-
-    @classmethod
-    def from_json(cls, data) -> Gauge:
-        return cls(value=data)
 
 
 @dataclass

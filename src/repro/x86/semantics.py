@@ -10,8 +10,11 @@ cannot drift apart.
 Documented deviations from bare-metal x86 (consistent across both
 engines, and therefore harmless to the reproduction):
 
-* shifts and rotates always leave OF undefined (x86 defines OF for
-  count == 1 only);
+* shifts always leave OF undefined (x86 defines OF for count == 1
+  only);
+* rotates write CF only: OF keeps its previous value and stays
+  defined (x86 defines OF for count == 1 and leaves it undefined for
+  larger counts);
 * 8/16-bit shift counts are masked to the operand width rather than
   to 32 bits;
 * ``bsf``/``bsr`` of zero write 0 to the destination (x86 leaves the

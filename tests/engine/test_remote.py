@@ -140,8 +140,8 @@ def test_worker_killed_mid_run_recovers_bit_identical(tmp_path):
             return
 
     results = run_campaigns(
-        _campaigns(base_dir=base, job_timeout=120.0, retries=3,
-                   progress=assassin),
+        _campaigns(base_dir=base, executor="tcp:spawn=2",
+                   job_timeout=120.0, retries=3, progress=assassin),
         executor_factory=factory)
     assert "victim" in state, "no busy worker to kill — test is moot"
     assert [_key(result) for result in results] == _baseline()
@@ -155,6 +155,25 @@ def test_worker_killed_mid_run_recovers_bit_identical(tmp_path):
             and e.data["worker"] == state["victim"]]
     assert left
     assert any(e.event in (JOB_RETRIED, JOB_REQUEUED) for e in events)
+
+
+def test_factory_transport_must_match_the_options(tmp_path):
+    """A tcp executor under ``serial`` options would journal
+    ``transport: local``; the sweep refuses it, naming both transports,
+    before any job is submitted."""
+    built = []
+
+    def factory(contexts):
+        built.append(RemoteExecutor(contexts, spawn=0))
+        return built[0]
+
+    with pytest.raises(EngineError) as info:
+        run_campaigns(_campaigns(base_dir=tmp_path), executor_factory=factory)
+    message = str(info.value)
+    assert f"tcp:wire={WIRE_VERSION}" in message and "local" in message
+    assert built[0]._listener is None          # terminated, not leaked
+    for name in KERNELS:
+        assert (tmp_path / name / "jobs.jsonl").read_text() == ""
 
 
 @pytest.mark.parametrize("faults", [

@@ -2,29 +2,8 @@
 
 import pytest
 
-from repro.telemetry import Counter, Gauge, Histogram, Series
+from repro.telemetry import Histogram, Series
 from repro.telemetry.metrics import TelemetryError, safe_rate
-
-
-def test_counter_merge_adds():
-    a, b = Counter(), Counter()
-    a.inc()
-    a.inc(4)
-    b.inc(2)
-    a.merge(b)
-    assert a.value == 7
-    assert Counter.from_json(a.to_json()) == a
-
-
-def test_gauge_merge_keeps_maximum():
-    a, b = Gauge(), Gauge()
-    a.set(3.5)
-    b.set(2.0)
-    a.merge(b)
-    assert a.value == 3.5
-    b.merge(a)
-    assert b.value == 3.5              # order-insensitive
-    assert Gauge.from_json(a.to_json()) == a
 
 
 def test_histogram_buckets_and_overflow():
