@@ -32,26 +32,10 @@ Event types, in the order a campaign emits them::
     campaign-finished   final verdict (verified, cycles, speedup,
                         per-kernel chain counts and pool occupancy)
 
-Stream version 2 (PR 5) added ``kernel-granted`` — the journal of
-the scheduler's grant decisions, which is what makes a ``wallclock``
-budget replayable: the decisions, not the clock, are what a resumed
-campaign re-reads — and extended ``campaign-finished`` with the
-per-kernel ``chains_scheduled`` / ``chains_saved`` / ``occupancy``
-fields a cross-kernel sweep reports.
-
-Stream version 3 (PR 8) added the three recovery events
-(``job-retried`` / ``job-requeued`` / ``job-quarantined``): every
-decision the fault-recovery layer takes is visible in the stream, so a
-follower can tell a slow campaign from one fighting worker failures,
-and ``campaign-finished`` gains ``chains_quarantined`` when any chain
-was abandoned.
-
-Stream version 4 (this PR) adds the distributed-membership pair
-(``worker-joined`` / ``worker-left``): a campaign run over socket
-workers (``--executor tcp:spawn=N`` / ``repro engine worker``) records
-every arrival and departure — with the departure's reason — so a follower
-can correlate a burst of ``job-requeued`` events with the host that
-caused them.
+The stream is at version 4 (:data:`EVENT_STREAM_VERSION`); a reader
+refuses records of any other version. ``kernel-granted`` journals the
+scheduler's grant decisions, which makes a ``wallclock`` budget
+replayable: a resumed campaign re-reads the decisions, not the clock.
 
 Like every run-directory journal, the file is written through
 :mod:`repro.jsonl`: append-only, fsynced per record, and a torn

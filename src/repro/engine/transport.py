@@ -153,24 +153,32 @@ class FrameBuffer:
     def frames(self):
         """Yield every whole frame currently buffered."""
         while len(self._data) >= _PREFIX.size:
-            (length,) = _PREFIX.unpack_from(self._data)
-            if length > MAX_FRAME:
-                raise TransportError(
-                    f"frame length prefix {length} exceeds the "
-                    f"{MAX_FRAME}-byte frame limit")
-            if len(self._data) < _PREFIX.size + length:
+            end, frame = _next_frame(self._data)
+            if frame is None:
                 return
-            body = bytes(self._data[_PREFIX.size:_PREFIX.size + length])
-            del self._data[:_PREFIX.size + length]
-            try:
-                frame = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise TransportError(
-                    "frame body is not valid JSON") from None
-            problem = frame_problem(frame)
-            if problem is not None:
-                raise TransportError(f"corrupt frame: {problem}")
+            del self._data[:end]
             yield frame
+
+
+def _next_frame(data: bytes | bytearray) -> tuple[int, Json | None]:
+    """(end, frame) of the frame that starts ``data``, with None for a
+    frame not wholly in ``data``; an oversized prefix raises at once."""
+    (length,) = _PREFIX.unpack_from(data)
+    if length > MAX_FRAME:
+        raise TransportError(
+            f"frame length prefix {length} exceeds the "
+            f"{MAX_FRAME}-byte frame limit")
+    end = _PREFIX.size + length
+    if len(data) < end:
+        return end, None
+    try:
+        frame = json.loads(bytes(data[_PREFIX.size:end]).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise TransportError("frame body is not valid JSON") from None
+    problem = frame_problem(frame)
+    if problem is not None:
+        raise TransportError(f"corrupt frame: {problem}")
+    return end, frame
 
 
 def send_frame(sock: socket.socket, frame: Json) -> None:
@@ -198,20 +206,10 @@ def recv_frame(sock: socket.socket,
     prefix = _recv_exactly(sock, _PREFIX.size, allow_eof=True)
     if prefix is None:
         return None
-    (length,) = _PREFIX.unpack(prefix)
-    if length > MAX_FRAME:
-        raise TransportError(
-            f"frame length prefix {length} exceeds the "
-            f"{MAX_FRAME}-byte frame limit")
-    body = _recv_exactly(sock, length, allow_eof=False)
-    assert body is not None
-    try:
-        frame = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise TransportError("frame body is not valid JSON") from None
-    problem = frame_problem(frame)
-    if problem is not None:
-        raise TransportError(f"corrupt frame: {problem}")
+    end, frame = _next_frame(prefix)
+    if frame is None:
+        body = _recv_exactly(sock, end - len(prefix), allow_eof=False)
+        frame = _next_frame(prefix + body)[1]
     return frame
 
 

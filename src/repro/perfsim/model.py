@@ -93,7 +93,7 @@ def simulate_cycles(prog: Program) -> ScheduleResult:
 
         for reg in instr.regs_written:
             ready_time[reg.full] = finish
-        for flag in instr.flags_written:
+        for flag in instr.flags_touched:
             ready_time[flag] = finish
         if instr.writes_memory:
             mem_write_time = max(mem_write_time, finish)

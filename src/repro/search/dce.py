@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.verifier.validator import LiveSpec
 from repro.x86.instruction import Instruction, UNUSED, is_unused
-from repro.x86.operands import Imm
 from repro.x86.program import Program
 from repro.x86.registers import lookup
 
@@ -25,30 +24,6 @@ def _fully_redefines(instr: Instruction, full: str) -> bool:
         if reg.width == 32 and reg.reg_class.value == "gpr":
             return True     # 32-bit writes zero-extend
     return False
-
-
-_SHIFT_FAMILIES = frozenset({"shl", "sal", "shr", "sar", "rol", "ror"})
-
-
-def _flags_defined(instr: Instruction) -> frozenset[str]:
-    """Flags the instruction overwrites on every execution.
-
-    Undefined flags keep their old value on the emulator, and a shift
-    or rotate by a count that masks to zero writes no flag at all; a
-    count read from a register may be zero, so it kills nothing. The
-    emulator's rotates write CF only.
-    """
-    opcode = instr.opcode
-    if opcode.family not in _SHIFT_FAMILIES:
-        return opcode.flags_written
-    if len(instr.operands) == 2:
-        count = instr.operands[0]
-        if not isinstance(count, Imm) or \
-                count.value & (opcode.width - 1) == 0:
-            return frozenset()
-    if opcode.family in ("rol", "ror"):
-        return opcode.flags_written & {"CF"}
-    return opcode.flags_written
 
 
 def eliminate_dead_code(program: Program, spec: LiveSpec) -> Program:
@@ -73,7 +48,7 @@ def eliminate_dead_code(program: Program, spec: LiveSpec) -> Program:
         # an instruction that may touch a live flag is kept, but only
         # the flags it always defines stop being live above it
         useful = bool(writes & live_regs) or \
-            bool(instr.flags_written & live_flags) or \
+            bool(instr.flags_touched & live_flags) or \
             (instr.writes_memory and memory_live) or \
             instr.opcode.family in ("div", "idiv")
         if not useful:
@@ -83,7 +58,7 @@ def eliminate_dead_code(program: Program, spec: LiveSpec) -> Program:
             if _fully_redefines(instr, full):
                 live_regs.discard(full)        # kill, then gen below
         live_regs.update(reg.full for reg in instr.regs_read)
-        live_flags -= _flags_defined(instr)
+        live_flags -= instr.flags_defined
         live_flags.update(instr.flags_read)
         if instr.reads_memory:
             memory_live = True

@@ -33,7 +33,8 @@ from repro.smt.bitvec import BV, Context
 from repro.x86.instruction import Instruction, is_unused
 from repro.x86.program import Program
 from repro.x86.registers import Register, view
-from repro.x86.semantics import (cc_value, execute, read_operand, read_reg,
+from repro.x86.semantics import (UNDEFINED_FLAGS, cc_value, execute,
+                                 read_operand, read_reg, write_operand,
                                  write_reg)
 
 #: Width at or above which multiplication results become uninterpreted
@@ -341,7 +342,6 @@ class SymbolicExecutor:
             b = read_operand(m, instr.operands[1], width)
             result = m.ufs.apply(f"mul{width}_lo", width, (a, b),
                                  commutative=True)
-            from repro.x86.semantics import write_operand
             write_operand(m, instr.operands[1], width, result)
             overflow = m.ufs.apply(f"imul{width}_of", 1, (a, b),
                                    commutative=True)
@@ -368,5 +368,5 @@ class SymbolicExecutor:
             remainder = m.ufs.apply(f"{family}{width}_r", width, (d, a, b))
             write_reg(m, view("rax", width), quotient)
             write_reg(m, view("rdx", width), remainder)
-        for name in instr.opcode.flags_undefined:
+        for name in UNDEFINED_FLAGS[family]:
             m.set_flag_undefined(name)

@@ -9,6 +9,7 @@ Typical usage::
     ''')
 """
 
+from repro.x86.effects import FlagEffects, flag_effects
 from repro.x86.instruction import Instruction, UNUSED, is_unused
 from repro.x86.isa import OPCODES, Opcode, opcode
 from repro.x86.latency import instruction_latency, program_latency
@@ -20,10 +21,10 @@ from repro.x86.registers import (FLAG_NAMES, REGISTERS, Register,
                                  gprs_of_width, lookup, view)
 
 __all__ = [
-    "FLAG_NAMES", "Imm", "Instruction", "Label", "Mem", "OPCODES",
-    "Opcode", "Operand", "Program", "REGISTERS", "Reg", "Register",
-    "UNUSED", "format_instruction", "format_program", "gprs_of_width",
-    "instruction_latency", "is_unused", "lookup", "opcode",
-    "parse_instruction", "parse_program", "program", "program_latency",
-    "view",
+    "FLAG_NAMES", "FlagEffects", "Imm", "Instruction", "Label", "Mem",
+    "OPCODES", "Opcode", "Operand", "Program", "REGISTERS", "Reg",
+    "Register", "UNUSED", "flag_effects", "format_instruction",
+    "format_program", "gprs_of_width", "instruction_latency", "is_unused",
+    "lookup", "opcode", "parse_instruction", "parse_program", "program",
+    "program_latency", "view",
 ]

@@ -2,7 +2,8 @@
 
 An :class:`Instruction` pairs an :class:`~repro.x86.isa.Opcode` with a
 tuple of operands and caches the matched signature, from which register
-and flag def/use sets are derived for liveness and dependence analysis.
+def/use sets are derived for liveness and dependence analysis; flag
+def/use sets are recorded from the shared semantics on first use.
 
 Candidate rewrites in the search are fixed-length sequences where the
 distinguished :data:`UNUSED` token stands for an empty slot (Section 4.3
@@ -132,12 +133,14 @@ class Instruction:
         return False
 
     @cached_property
-    def flags_read(self) -> frozenset[str]:
-        return self.opcode.flags_read
+    def flag_effects(self):
+        """See :func:`repro.x86.effects.flag_effects`."""
+        from repro.x86.effects import flag_effects
+        return flag_effects(self)
 
-    @cached_property
-    def flags_written(self) -> frozenset[str]:
-        return self.opcode.flags_written | self.opcode.flags_undefined
+    flags_read = property(lambda self: self.flag_effects.read)
+    flags_defined = property(lambda self: self.flag_effects.defined)
+    flags_touched = property(lambda self: self.flag_effects.touched)
 
     def __str__(self) -> str:
         if not self.operands:

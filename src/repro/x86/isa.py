@@ -1,11 +1,12 @@
 """The instruction set table for the modeled 64-bit X86 subset.
 
 Each :class:`Opcode` describes one mnemonic (e.g. ``addq``): its operand
-signatures, operand access modes, flag effects, implicit register uses,
-base latency and semantic family. The table is built once at import time
-and covers roughly 270 mnemonics across the integer and fixed-point SSE
-subsets the paper searches over (Section 4.3: "arithmetic and fixed point
-SSE opcodes").
+signatures, operand access modes, implicit register uses, base latency
+and semantic family; its flag effects follow from the family's
+semantics (:mod:`repro.x86.effects`). The table is built once at import
+time and covers roughly 270 mnemonics across the integer and fixed-point
+SSE subsets the paper searches over (Section 4.3: "arithmetic and fixed
+point SSE opcodes").
 
 Operand order follows the paper's listings, which use AT&T source-first
 order (``addq rdx, rax`` adds ``rdx`` into ``rax``).
@@ -43,23 +44,6 @@ CONDITION_CODES: dict[str, str] = {
     "p": "p", "pe": "p",
     "np": "np", "po": "np",
 }
-
-#: Flags read by each canonical condition code.
-CC_FLAGS_READ: dict[str, frozenset[str]] = {
-    "e": frozenset({"ZF"}), "ne": frozenset({"ZF"}),
-    "a": frozenset({"CF", "ZF"}), "ae": frozenset({"CF"}),
-    "b": frozenset({"CF"}), "be": frozenset({"CF", "ZF"}),
-    "g": frozenset({"ZF", "SF", "OF"}), "ge": frozenset({"SF", "OF"}),
-    "l": frozenset({"SF", "OF"}), "le": frozenset({"ZF", "SF", "OF"}),
-    "s": frozenset({"SF"}), "ns": frozenset({"SF"}),
-    "o": frozenset({"OF"}), "no": frozenset({"OF"}),
-    "p": frozenset({"PF"}), "np": frozenset({"PF"}),
-}
-
-ALL_FLAGS = frozenset({"CF", "ZF", "SF", "OF", "PF"})
-ARITH_FLAGS = ALL_FLAGS
-LOGIC_FLAGS = ALL_FLAGS          # CF/OF forced to zero, still *written*
-NO_FLAGS: frozenset[str] = frozenset()
 
 _SUFFIX_WIDTH = {"b": 8, "w": 16, "l": 32, "q": 64}
 _WIDTH_SUFFIX = {v: k for k, v in _SUFFIX_WIDTH.items()}
@@ -99,6 +83,9 @@ def slot(kinds: Iterable[OperandKind], width: int, access: str,
 class Opcode:
     """A single mnemonic in the ISA table.
 
+    Flag effects are not fields: an instruction derives them from the
+    family's semantics and its operands (a shift count may be zero).
+
     Attributes:
         name: the mnemonic with width suffix, e.g. ``"addq"``.
         family: semantic family dispatched on by the executor, e.g. ``"add"``.
@@ -107,8 +94,6 @@ class Opcode:
             accept several arities/directions).
         latency: base latency in cycles; memory access adds extra
             (see :mod:`repro.x86.latency`).
-        flags_read / flags_written / flags_undefined: status flag effects.
-            A flag in ``flags_undefined`` is left in an undefined state.
         implicit_reads / implicit_writes: full names of implicitly used
             general purpose registers (e.g. ``mulq`` reads/writes rax, rdx).
         cc: canonical condition code for jcc/setcc/cmovcc families.
@@ -124,9 +109,6 @@ class Opcode:
     width: int
     signatures: tuple[tuple[Slot, ...], ...]
     latency: int = 1
-    flags_read: frozenset[str] = NO_FLAGS
-    flags_written: frozenset[str] = NO_FLAGS
-    flags_undefined: frozenset[str] = NO_FLAGS
     implicit_reads: tuple[str, ...] = ()
     implicit_writes: tuple[str, ...] = ()
     cc: str | None = None
@@ -163,44 +145,24 @@ class _TableBuilder:
 
     # -- integer helpers ---------------------------------------------------
 
-    def binary_alu(self, family: str, *, latency: int = 1,
-                   flags_read: frozenset[str] = NO_FLAGS,
-                   flags_written: frozenset[str] = ARITH_FLAGS,
-                   dst_access: str = "rw",
-                   widths: Iterable[int] = (8, 16, 32, 64)) -> None:
+    def binary_alu(self, family: str, dst_access: str) -> None:
         """src(r/m/i), dst(r/m) two-operand ALU family, all widths."""
-        for w in widths:
-            name = family + _WIDTH_SUFFIX[w]
+        for w, sfx in _WIDTH_SUFFIX.items():
             src = slot({R, M, I}, w, "r")
             dst = slot({R, M}, w, dst_access)
-            self.add(Opcode(name, family, w, ((src, dst),), latency=latency,
-                            flags_read=flags_read,
-                            flags_written=flags_written))
+            self.add(Opcode(family + sfx, family, w, ((src, dst),)))
 
-    def unary_alu(self, family: str, *, latency: int = 1,
-                  flags_read: frozenset[str] = NO_FLAGS,
-                  flags_written: frozenset[str] = ARITH_FLAGS,
-                  widths: Iterable[int] = (8, 16, 32, 64)) -> None:
-        for w in widths:
-            name = family + _WIDTH_SUFFIX[w]
-            self.add(Opcode(name, family, w,
-                            ((slot({R, M}, w, "rw"),),), latency=latency,
-                            flags_read=flags_read,
-                            flags_written=flags_written))
+    def unary_alu(self, family: str) -> None:
+        for w, sfx in _WIDTH_SUFFIX.items():
+            self.add(Opcode(family + sfx, family, w,
+                            ((slot({R, M}, w, "rw"),),)))
 
-    def shift(self, family: str, *, rotates: bool = False,
-              widths: Iterable[int] = (8, 16, 32, 64)) -> None:
+    def shift(self, family: str) -> None:
         """Shift/rotate: count(imm8 or cl) + dst, or implicit-one dst."""
-        written = frozenset({"CF", "OF"}) if rotates else \
-            frozenset({"CF", "ZF", "SF", "PF"})
-        undef = NO_FLAGS if rotates else frozenset({"OF"})
-        for w in widths:
-            name = family + _WIDTH_SUFFIX[w]
+        for w, sfx in _WIDTH_SUFFIX.items():
             count = slot({I, R}, 8, "r")
             dst = slot({R, M}, w, "rw")
-            self.add(Opcode(name, family, w,
-                            ((count, dst), (dst,)),
-                            flags_written=written, flags_undefined=undef))
+            self.add(Opcode(family + sfx, family, w, ((count, dst), (dst,))))
 
     def widening_move(self, family: str, sign: str) -> None:
         """movz/movs with explicit source and destination widths."""
@@ -259,19 +221,11 @@ def _build_table() -> dict[str, Opcode]:
                  latency=2))
 
     # --- integer arithmetic -----------------------------------------------
-    b.binary_alu("add")
-    b.binary_alu("sub")
-    b.binary_alu("adc", flags_read=frozenset({"CF"}))
-    b.binary_alu("sbb", flags_read=frozenset({"CF"}))
-    b.binary_alu("cmp", dst_access="r")
-    b.binary_alu("and", flags_written=LOGIC_FLAGS)
-    b.binary_alu("or", flags_written=LOGIC_FLAGS)
-    b.binary_alu("xor", flags_written=LOGIC_FLAGS)
-    b.binary_alu("test", flags_written=LOGIC_FLAGS, dst_access="r")
-    b.unary_alu("not", flags_written=NO_FLAGS)
-    b.unary_alu("neg")
-    b.unary_alu("inc", flags_written=frozenset({"ZF", "SF", "OF", "PF"}))
-    b.unary_alu("dec", flags_written=frozenset({"ZF", "SF", "OF", "PF"}))
+    for family in ("add", "sub", "adc", "sbb", "cmp", "and", "or", "xor",
+                   "test"):
+        b.binary_alu(family, "r" if family in ("cmp", "test") else "rw")
+    for family in ("not", "neg", "inc", "dec"):
+        b.unary_alu(family)
 
     # two-operand imul: src(r/m), dst(r); 16/32/64 bit only
     for w in (16, 32, 64):
@@ -281,16 +235,12 @@ def _build_table() -> dict[str, Opcode]:
         # one-operand widening form shares the mnemonic in AT&T syntax
         wide = slot({R, M}, w, "r")
         b.add(Opcode(name, "imul", w, ((src, dst), (wide,)), latency=3,
-                     flags_written=frozenset({"CF", "OF"}),
-                     flags_undefined=frozenset({"ZF", "SF", "PF"}),
                      implicit_reads=("rax",),
                      implicit_writes=("rax", "rdx"),
                      uf=(w == 64)))
     for w in (8, 16, 32, 64):
         name = "mul" + _WIDTH_SUFFIX[w]
         b.add(Opcode(name, "mul", w, ((slot({R, M}, w, "r"),),), latency=4,
-                     flags_written=frozenset({"CF", "OF"}),
-                     flags_undefined=frozenset({"ZF", "SF", "PF"}),
                      implicit_reads=("rax",),
                      implicit_writes=("rax", "rdx"),
                      uf=(w == 64)))
@@ -299,7 +249,6 @@ def _build_table() -> dict[str, Opcode]:
             name = fam + _WIDTH_SUFFIX[w]
             b.add(Opcode(name, fam, w, ((slot({R, M}, w, "r"),),),
                          latency=24 if fam == "div" else 26,
-                         flags_undefined=ALL_FLAGS,
                          implicit_reads=("rax", "rdx"),
                          implicit_writes=("rax", "rdx"),
                          uf=(w == 64)))
@@ -315,46 +264,28 @@ def _build_table() -> dict[str, Opcode]:
                  implicit_writes=("rdx",)))
 
     # --- shifts and rotates -------------------------------------------------
-    b.shift("shl")
-    b.shift("sal")
-    b.shift("shr")
-    b.shift("sar")
-    b.shift("rol", rotates=True)
-    b.shift("ror", rotates=True)
+    for family in ("shl", "sal", "shr", "sar", "rol", "ror"):
+        b.shift(family)
 
     # --- bit manipulation ---------------------------------------------------
     for w in (16, 32, 64):
         sfx = _WIDTH_SUFFIX[w]
         src = slot({R, M}, w, "r")
         dst = slot({R}, w, "w")
-        b.add(Opcode("popcnt" + sfx, "popcnt", w, ((src, dst),), latency=3,
-                     flags_written=ALL_FLAGS))
-        b.add(Opcode("bsf" + sfx, "bsf", w, ((src, dst),), latency=3,
-                     flags_written=frozenset({"ZF"}),
-                     flags_undefined=frozenset({"CF", "SF", "OF", "PF"})))
-        b.add(Opcode("bsr" + sfx, "bsr", w, ((src, dst),), latency=3,
-                     flags_written=frozenset({"ZF"}),
-                     flags_undefined=frozenset({"CF", "SF", "OF", "PF"})))
-        b.add(Opcode("tzcnt" + sfx, "tzcnt", w, ((src, dst),), latency=3,
-                     flags_written=frozenset({"ZF", "CF"}),
-                     flags_undefined=frozenset({"SF", "OF", "PF"})))
-        b.add(Opcode("lzcnt" + sfx, "lzcnt", w, ((src, dst),), latency=3,
-                     flags_written=frozenset({"ZF", "CF"}),
-                     flags_undefined=frozenset({"SF", "OF", "PF"})))
+        for family in ("popcnt", "bsf", "bsr", "tzcnt", "lzcnt"):
+            b.add(Opcode(family + sfx, family, w, ((src, dst),), latency=3))
 
     # --- conditional data movement ------------------------------------------
     for cc_name, cc in CONDITION_CODES.items():
-        reads = CC_FLAGS_READ[cc]
         for w in (16, 32, 64):
             name = f"cmov{cc_name}{_WIDTH_SUFFIX[w]}"
             src = slot({R, M}, w, "r")
             dst = slot({R}, w, "rw")
-            b.add(Opcode(name, "cmov", w, ((src, dst),), cc=cc,
-                         flags_read=reads))
+            b.add(Opcode(name, "cmov", w, ((src, dst),), cc=cc))
         b.add(Opcode(f"set{cc_name}", "set", 8,
-                     ((slot({R, M}, 8, "w"),),), cc=cc, flags_read=reads))
+                     ((slot({R, M}, 8, "w"),),), cc=cc))
         b.add(Opcode(f"j{cc_name}", "jcc", 64, ((slot({L}, 0, "r"),),),
-                     cc=cc, flags_read=reads, is_jump=True))
+                     cc=cc, is_jump=True))
     b.add(Opcode("jmp", "jmp", 64, ((slot({L}, 0, "r"),),), is_jump=True))
 
     # --- SSE integer / data movement ------------------------------------------

@@ -7,11 +7,17 @@ and the symbolic executor both implement :class:`Machine`, so a single
 semantic definition drives both — concrete execution and SMT translation
 cannot drift apart.
 
+Every flag effect is stated here, once: the handlers write the flags
+they define and :data:`UNDEFINED_FLAGS` names those a family leaves
+undefined; :mod:`repro.x86.effects` reads them off :func:`execute`.
+
 Documented deviations from bare-metal x86 (consistent across both
 engines, and therefore harmless to the reproduction):
 
 * shifts always leave OF undefined (x86 defines OF for count == 1
   only);
+* a shift by an immediate count that masks to zero writes no flag but
+  still leaves OF undefined; a rotate by such a count touches no flag;
 * rotates write CF only: OF keeps its previous value and stays
   defined (x86 defines OF for count == 1 and leaves it undefined for
   larger counts);
@@ -30,7 +36,7 @@ from repro.errors import EmulationError, OperandTypeError
 from repro.x86.algebra import Algebra
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Imm, Mem, Operand, Reg
-from repro.x86.registers import Register, view
+from repro.x86.registers import FLAG_NAMES, Register, view
 
 V = TypeVar("V")
 
@@ -278,7 +284,7 @@ def execute(instr: Instruction, m: Machine[V]) -> None:
     if handler is None:
         raise EmulationError(f"no semantics for family {family!r}")
     handler(instr, m)
-    for name in instr.opcode.flags_undefined:
+    for name in UNDEFINED_FLAGS.get(family, ()):
         m.set_flag_undefined(name)
 
 
@@ -894,6 +900,15 @@ def _sem_psll(instr: Instruction, m: Machine[V]) -> None:
 def _sem_psrl(instr: Instruction, m: Machine[V]) -> None:
     _packed_shift(instr, m, left=False)
 
+
+#: Flags each family leaves undefined, applied after its handler.
+UNDEFINED_FLAGS: dict[str, frozenset[str]] = {
+    **dict.fromkeys(("shl", "sal", "shr", "sar"), frozenset({"OF"})),
+    **dict.fromkeys(("imul", "mul"), frozenset({"ZF", "SF", "PF"})),
+    **dict.fromkeys(("div", "idiv"), frozenset(FLAG_NAMES)),
+    **dict.fromkeys(("bsf", "bsr"), frozenset({"CF", "SF", "OF", "PF"})),
+    **dict.fromkeys(("tzcnt", "lzcnt"), frozenset({"SF", "OF", "PF"})),
+}
 
 _HANDLERS = {
     "nop": _sem_nop,

@@ -61,7 +61,8 @@ def test_instruction_def_use_sets():
     writes = {r.name for r in instr.regs_written}
     assert reads == {"rsi", "rax"}
     assert writes == {"rax"}
-    assert instr.flags_written == {"CF", "ZF", "SF", "OF", "PF"}
+    assert instr.flags_touched == {"CF", "ZF", "SF", "OF", "PF"}
+    assert instr.flags_defined == {"CF", "ZF", "SF", "OF", "PF"}
 
 
 def test_memory_def_use():
