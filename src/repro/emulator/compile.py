@@ -23,6 +23,13 @@ every lane. A memory access reads the address of lane 0 and raises
 :class:`LaneMiss` unless every lane agrees (see
 :mod:`repro.emulator.lanes`).
 
+A step takes the state it runs on as arguments, in the order of
+:data:`STATE_ARGS`: ``(regs, rdef, flags, fdef, mem, events, check,
+<params>)``, the state's register, definedness, flag and memory dicts,
+its event counters and the sandbox's address check
+(:func:`state_args`). A run fetches them once and passes them to every
+step.
+
 Lane masks and replicated constants are parameters of the step, bound
 per layout, so the code never depends on the layout. Bound to the
 one-lane layout (:data:`ONE_LANE`), the same code is plain
@@ -58,26 +65,43 @@ rcx``, or ``addq 7, rax`` and ``addq 9, rdx``, that differ only in
 those values record the same text. A parameter's first letter says how
 a layout binds it: ``R`` register names and ``N`` scalars (shift
 counts, sign fills) as they are, ``C`` constants replicated into every
-lane, ``L`` the layout itself. Each shape is ``compile()``-d once, on
-its first sighting, into a code object, and every instruction of that
-shape runs it with its own values bound as parameter defaults.
-Binding an instruction's values back reproduces exactly the source it
-would compile to on its own, so sharing is sound; aliasing is part of
-the shape (``addq rax, rax`` reads one parameter twice, ``addq rax,
-rbx`` two).
+lane, ``L`` the layout itself, ``F`` a helper stencil (below) bound for
+the same layout. Each shape is ``compile()``-d once, on its first
+sighting, into a code object, and every instruction of that shape runs
+it with its own values bound as parameter defaults. Binding an
+instruction's values back reproduces exactly the source it would
+compile to on its own, so sharing is sound; aliasing is part of the
+shape (``addq rax, rax`` reads one parameter twice, ``addq rax, rbx``
+two).
+
+**Outlined helpers.** The semantic helpers that most shapes repeat
+(result flags per width, a condition code, add-with-carry and
+subtract-with-borrow per width and carry-in) are marked
+:func:`~repro.x86.semantics.outlined`. The recorder records each one
+once per static argument (its width or condition code), with its
+values as runtime arguments, into a *helper stencil* of its own, and a
+shape calls it in one line, such as ``F3(flags, fdef, v2)``: the stencil
+takes the state arguments its body uses, then the values, and returns
+the runtime parts of the helper's result. A shape thus compiles fewer
+lines, and one ``cmov`` or ``set`` shape serves all 16 condition codes,
+which differ only in the stencil bound to their ``F`` parameter. A
+call whose values are all constants records the helper inline, so
+constants fold as before. Helper stencils compile lazily, on first use.
 
 Compiled steps are cached on the :class:`Instruction` instances
 themselves (a proposal shares all but one instruction object with its
 predecessor), with a structural second-level cache behind them, so the
 steady-state compile cost of a proposal is one dictionary hit per slot.
-A :data:`ONE_LANE` step keeps its binding for the last lane layout it
-was bound to. A structural miss costs one recording; a shape miss one
-``compile()``.
+A :data:`ONE_LANE` step (or helper stencil) keeps its binding for the
+last lane layout it was bound to. A structural miss costs one
+recording, which replays an already compiled helper as one call; a
+shape miss one ``compile()``.
 """
 
 from __future__ import annotations
 
 import builtins
+import re
 from itertools import filterfalse, repeat
 from types import CodeType, FunctionType
 from typing import Callable
@@ -100,8 +124,20 @@ LANE_STRIDE = 130
 
 _LANE_MASK = (1 << LANE_STRIDE) - 1
 
-#: A compiled step: executes one instruction against (state, sandbox).
-Step = Callable[[MachineState, Sandbox], object]
+#: What every step takes, in this order, ahead of its parameters: a
+#: state's registers, register definedness, flags, flag definedness,
+#: memory and event counters, and the sandbox's address check.
+STATE_ARGS = ("regs", "rdef", "flags", "fdef", "mem", "events", "check")
+
+#: A compiled step: executes one instruction against :func:`state_args`.
+Step = Callable[..., object]
+
+
+def state_args(state: MachineState, sandbox: Sandbox) -> tuple:
+    """The arguments a step runs on: ``state``'s dicts and counters,
+    and ``sandbox``'s check, in :data:`STATE_ARGS` order."""
+    return (state.regs, state.reg_defined, state.flags, state.flag_defined,
+            state.memory, state.events, sandbox.check)
 
 
 class LaneMiss(Exception):
@@ -210,10 +246,11 @@ class _SourceBuilder:
     (folded immediately with the integer algebra's rules) or integer
     indices naming local variables ``v0, v1, ...`` of the generated
     step function. Every state access appends one (or a few) source
-    lines; the finished function replays the reference emulator's exact
-    sequence of reads, writes and sandbox events for one instruction,
-    in every lane at once. Each runtime value holds, in every lane, a
-    value below ``2**width`` for the width the semantics gave it.
+    lines, and every outlined helper one call (:meth:`outline`); the
+    finished function replays the reference emulator's exact sequence
+    of reads, writes and sandbox events for one instruction, in every
+    lane at once. Each runtime value holds, in every lane, a value below
+    ``2**width`` for the width the semantics gave it.
     """
 
     def __init__(self) -> None:
@@ -282,9 +319,14 @@ class _SourceBuilder:
     def _layout(self) -> str:
         return self._param("L", ONE_LANE)
 
-    def _slot(self, expr: str) -> int:
+    def _new(self) -> int:
+        """A fresh local ``v<k>``; returns ``k``."""
         k = self._counter
         self._counter += 1
+        return k
+
+    def _slot(self, expr: str) -> int:
+        k = self._new()
         self.lines.append(f"v{k} = {expr}")
         return k
 
@@ -584,6 +626,33 @@ class _SourceBuilder:
              f"(({ref} + {self._mask(width)}) >> {width}) & {one} == {one}"))
         return self._script[index] if index < len(self._script) else True
 
+    # -- outlined helpers ---------------------------------------------------
+
+    def outline(self, fn, args: tuple):
+        """Call the shared stencil of the semantic helper ``fn`` in one
+        line (see :func:`~repro.x86.semantics.outlined`).
+
+        ``args`` is the helper's static argument and then its values.
+        When every value is a constant, the helper is recorded inline
+        instead, so it folds exactly as before.
+        """
+        key, *values = args
+        live = [v for v in values if v is not None]
+        if live and all(type(v) is _Const for v in live):
+            return fn(self, *args)
+        helper, state, result = _helper(fn, key,
+                                        tuple(v is None for v in values))
+        call = (f"{self._param('F', helper)}"
+                f"({', '.join([*state, *map(self._ref, live)])})")
+        if result is None:
+            self.lines.append(call)
+            return None
+        outs = [v if type(v) is _Const else self._new()
+                for v in (result if type(result) is tuple else (result,))]
+        names = ", ".join(f"v{v}" for v in outs if type(v) is not _Const)
+        self.lines.append(f"{names} = {call}" if names else call)
+        return tuple(outs) if type(result) is tuple else outs[0]
+
     # -- recording ----------------------------------------------------------
 
     def record(self, instr: Instruction) -> None:
@@ -629,21 +698,22 @@ class _SourceBuilder:
 
     # -- assembly -----------------------------------------------------------
 
-    def shape(self, result=None) -> str:
+    def shape(self, result=None, head: tuple = STATE_ARGS) -> str:
         """The recorded step with its values lifted out: its *shape*.
 
-        Register names and constants appear as parameters (one per
-        distinct value and kind, numbered by first use), so every
-        instruction that differs from this one only in those values
-        records the same text, aliasing included: ``addq rax, rax``
-        reads ``R0`` twice where ``addq rax, rbx`` reads ``R0`` and
-        ``R1``. With ``result``, the step returns that value's
-        expression (used for compiled condition codes).
+        Register names, constants and helper stencils appear as
+        parameters after ``head`` (one per distinct value and kind,
+        numbered by first use), so every instruction that differs from
+        this one only in those values records the same text, aliasing
+        included: ``addq rax, rax`` reads ``R0`` twice where ``addq
+        rax, rbx`` reads ``R0`` and ``R1``. With ``result``, the step
+        returns that value's expression (used for compiled condition
+        codes).
         """
         lines = self.lines
         if result is not None:
             lines = lines + [f"return {self._ref(result)}"]
-        params = ", ".join(("s", "box", *self._params.values()))
+        params = ", ".join((*head, *self._params.values()))
         return f"def _step({params}):\n" + "\n".join(lines)
 
     @property
@@ -690,14 +760,6 @@ def _store(mem: dict, check, events, base: int, nbytes: int, value: int,
         value >>= 8
 
 
-_PREAMBLE = (("regs", "regs = s.regs"),
-             ("rdef", "rdef = s.reg_defined"),
-             ("flags", "flags = s.flags"),
-             ("fdef", "fdef = s.flag_defined"),
-             ("mem", "mem = s.memory"),
-             ("events", "events = s.events"),
-             ("check", "check = box.check"))
-
 _STEP_GLOBALS = {"__builtins__": builtins, "_each": _each,
                  "_LaneMiss": LaneMiss, "_load": _load, "_store": _store,
                  "_mul_each": _mul_each,
@@ -710,11 +772,8 @@ _STEP_GLOBALS = {"__builtins__": builtins, "_each": _each,
 def _compile_shape(shape: str) -> CodeType:
     """``compile()`` a shape into the code object every step of it runs."""
     header, _, text = shape.partition("\n")
-    body = [line for name, line in _PREAMBLE if name in text]
-    if text:
-        body += text.split("\n")
-    source = header + "\n" + "".join(f"    {line}\n"
-                                     for line in body or ["pass"])
+    source = header + "\n" + "".join(
+        f"    {line}\n" for line in (text.split("\n") if text else ["pass"]))
     module = compile(source, "<repro-compiled>", "exec")
     return next(const for const in module.co_consts
                 if type(const) is CodeType)
@@ -723,20 +782,34 @@ def _compile_shape(shape: str) -> CodeType:
 def _bind(code: CodeType, values: tuple) -> Step:
     """A step running ``code`` with its parameters bound to ``values``.
 
-    The values become the defaults of the trailing parameters, so the
-    step is called as ``step(state, sandbox)`` like any other.
+    The values become the defaults of the trailing parameters, so a
+    step is called with :func:`state_args` alone, like any other.
     """
     return FunctionType(code, _STEP_GLOBALS, "_step", values)
 
 
 def _rebind(step: Step, lay: Layout) -> Step:
-    """A compiled :data:`ONE_LANE` step's code, bound for ``lay``."""
+    """A compiled :data:`ONE_LANE` step's code (or a helper stencil's),
+    bound for ``lay``."""
     code = step.__code__
-    kinds = code.co_varnames[2:code.co_argcount]
-    values = tuple(lay.replicate(value) if kind[0] == "C"
-                   else lay if kind[0] == "L" else value
-                   for kind, value in zip(kinds, step.__defaults__ or ()))
-    return _bind(code, values)
+    values = step.__defaults__ or ()
+    kinds = code.co_varnames[code.co_argcount - len(values):code.co_argcount]
+    return _bind(code, tuple(
+        lay.replicate(value) if kind[0] == "C"
+        else lay if kind[0] == "L"
+        else _for_layout(value, lay) if kind[0] == "F"
+        else value for kind, value in zip(kinds, values)))
+
+
+def _for_layout(step: Step, lay: Layout) -> Step:
+    """``step`` bound for ``lay``; the binding for the last layout is
+    cached on the :data:`ONE_LANE` step itself."""
+    bound = step.__dict__.get("lanes")
+    if bound is not None and bound[0] is lay:
+        return bound[1]
+    lane = step if lay is ONE_LANE else _rebind(step, lay)
+    step.lanes = (lay, lane)
+    return lane
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +830,16 @@ class _EvaluatorCounters:
     """
 
     __slots__ = ("instance_hits", "structural_hits", "shape_hits",
-                 "tier_ups", "cold_fallbacks", "programs_compiled",
-                 "lane_runs", "lane_fallbacks", "lane_misses")
+                 "tier_ups", "helper_compiles", "cold_fallbacks",
+                 "programs_compiled", "lane_runs", "lane_fallbacks",
+                 "lane_misses")
 
     def __init__(self) -> None:
         self.instance_hits = 0          # step cached on the instruction
         self.structural_hits = 0        # equal instruction seen before
         self.shape_hits = 0             # step bound to compiled shape code
         self.tier_ups = 0               # one compile() of a step's shape
+        self.helper_compiles = 0        # one compile() of a helper stencil
         # always 0 (every shape compiles on first sight); kept because
         # perfbench/run.py reads it until a benchmark change drops it
         self.cold_fallbacks = 0
@@ -796,7 +871,42 @@ _STRUCTURAL_CACHE_LIMIT = 1 << 16
 _SHAPE_CACHE: dict[str, CodeType] = {}
 _SHAPE_CACHE_LIMIT = 1 << 12
 
-_CC_CACHE: dict[str, Callable[[MachineState, Sandbox], int]] = {}
+_CC_CACHE: dict[str, Step] = {}
+
+#: Helper stencils by (helper, static argument, which values are None);
+#: a few dozen at most, so unbounded.
+_HELPERS: dict[tuple, tuple] = {}
+
+
+def _helper(fn, key, nones: tuple[bool, ...]) -> tuple:
+    """``fn``'s stencil for ``key``: ``(helper, state, result)``.
+
+    ``helper`` is ``fn`` recorded with every value not None a runtime
+    argument, bound for :data:`ONE_LANE`. It takes the state names in
+    ``state`` that its body uses and then those values, and returns the
+    runtime parts of ``result``, ``fn``'s recorded result (None, or a
+    value or tuple of values, each a constant or a local's index).
+    """
+    found = _HELPERS.get((fn, key, nones))
+    if found is None:
+        builder = _SourceBuilder()
+        args = [None if none else builder._new() for none in nones]
+        result = fn(builder, key, *args)
+        assert not builder._guards, "helpers must not test for zero"
+        outs = () if result is None else \
+            result if type(result) is tuple else (result,)
+        runtime = [f"v{v}" for v in outs if type(v) is not _Const]
+        if runtime:
+            builder.lines.append(f"return {', '.join(runtime)}")
+        text = "\n".join(builder.lines)
+        state = tuple(name for name in STATE_ARGS
+                      if re.search(rf"\b{name}\b", text))
+        shape = builder.shape(head=(*state, *(f"v{k}" for k in args
+                                              if k is not None)))
+        helper = _bind(_compile_shape(shape), builder.values)
+        COUNTERS.helper_compiles += 1
+        found = _HELPERS[(fn, key, nones)] = (helper, state, result)
+    return found
 
 
 def _shape_step(builder: _SourceBuilder) -> Step:
@@ -850,16 +960,10 @@ def lane_step(instr: Instruction, lay: Layout) -> Step:
     The binding for the last layout is cached on the :data:`ONE_LANE`
     step itself, so structurally equal instructions share it.
     """
-    step = instr.__dict__["_compiled_step"]
-    bound = step.__dict__.get("lanes")
-    if bound is not None and bound[0] is lay:
-        return bound[1]
-    lane = step if lay is ONE_LANE else _rebind(step, lay)
-    step.lanes = (lay, lane)
-    return lane
+    return _for_layout(instr.__dict__["_compiled_step"], lay)
 
 
-def _compiled_cc(cc: str) -> Callable[[MachineState, Sandbox], int]:
+def _compiled_cc(cc: str) -> Step:
     """A compiled evaluator for one jcc condition code."""
     evaluate = _CC_CACHE.get(cc)
     if evaluate is None:
@@ -933,12 +1037,14 @@ class CompiledProgram:
     def run(self, state: MachineState, sandbox: Sandbox, *,
             max_steps: int = 10_000) -> MachineState:
         """Execute against ``state``; mirrors ``Emulator.run``."""
+        args = state_args(state, sandbox)
         steps = self.steps
         if steps is not None:
             if self.slots > max_steps:
                 raise StepLimitExceeded(f"exceeded {max_steps} steps")
+            regs, rdef, flags, fdef, mem, events, check = args
             for step in steps:
-                step(state, sandbox)
+                step(regs, rdef, flags, fdef, mem, events, check)
             return state
         pc = 0
         count = 0
@@ -952,12 +1058,12 @@ class CompiledProgram:
             kind = unit[0]
             if kind == _STRAIGHT:
                 if unit[1] is not None:
-                    unit[1](state, sandbox)
+                    unit[1](*args)
                 pc += 1
             elif kind == _JMP:
                 pc = unit[1]
             else:
-                pc = unit[2] if unit[1](state, sandbox) else pc + 1
+                pc = unit[2] if unit[1](*args) else pc + 1
         return state
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.emulator.compile import LaneMiss, Layout, Step, layout
+from repro.emulator.compile import LaneMiss, Layout, Step, layout, state_args
 from repro.emulator.state import MachineState, RunEvents
 
 
@@ -108,10 +108,11 @@ class LaneSuite:
         zero test); the partial run touched nothing but its own copy.
         """
         state = self.proto.copy()
-        box = self.sandbox
+        regs, rdef, flags, fdef, mem, events, check = \
+            state_args(state, self.sandbox)
         try:
             for step in steps:
-                step(state, box)
+                step(regs, rdef, flags, fdef, mem, events, check)
         except LaneMiss:
             return None
         return state

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.cost.function import CostFunction, Phase
 from repro.search.config import SearchConfig
+from repro.search.dce import eliminate_dead_code
 from repro.search.mcmc import ChainResult
 from repro.search.moves import MoveGenerator
 from repro.search.strategies import MCMCStrategy, SearchStrategy
@@ -73,7 +74,6 @@ class _ValidatingPhase:
         Candidates are cleaned with dead code elimination first; DCE is
         conservative but the validator still gets the final word.
         """
-        from repro.search.dce import eliminate_dead_code
         if self.validator is None:
             result.candidates.extend(zero_cost)
             return

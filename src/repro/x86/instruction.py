@@ -33,7 +33,9 @@ class Instruction:
     operands: tuple[Operand, ...] = ()
 
     def __post_init__(self) -> None:
-        check_operands(self.opcode, self.operands)
+        # matched once, here, in place of the cached property below
+        self.__dict__["signature"] = check_operands(self.opcode,
+                                                    self.operands)
 
     @cached_property
     def signature(self) -> tuple[Slot, ...]:

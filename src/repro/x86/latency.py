@@ -19,39 +19,31 @@ MEM_WRITE_PENALTY = 2
 """Extra cycles charged for a memory write operand."""
 
 
-_LATENCY_CACHE: dict[int, tuple[Instruction, int]] = {}
-
-
 def instruction_latency(instr: Instruction) -> int:
     """The average latency LATENCY(i) charged to one instruction.
 
-    Cached by object identity: the cache entry pins the instruction, so
-    ids stay unique. Instructions are shared across program snapshots,
-    making the cache hit rate in the MCMC inner loop very high.
+    Cached on the instruction instance, which the MCMC inner loop's
+    program snapshots share, so the cache hit rate is very high and the
+    cache dies with its instruction.
     """
-    cached = _LATENCY_CACHE.get(id(instr))
-    if cached is not None:
-        return cached[1]
-    if is_unused(instr):
-        latency = 0
-    else:
-        latency = instr.opcode.latency
-        if instr.reads_memory:
-            latency += MEM_READ_PENALTY
-        if instr.writes_memory:
-            latency += MEM_WRITE_PENALTY
-    _LATENCY_CACHE[id(instr)] = (instr, latency)
+    latency = instr.__dict__.get("_latency")
+    if latency is None:
+        if is_unused(instr):
+            latency = 0
+        else:
+            latency = instr.opcode.latency
+            if instr.reads_memory:
+                latency += MEM_READ_PENALTY
+            if instr.writes_memory:
+                latency += MEM_WRITE_PENALTY
+        instr.__dict__["_latency"] = latency
     return latency
 
 
 def program_latency(prog: Program) -> int:
     """The paper's H(f): total static latency of a program (Eq. 13)."""
-    cache = _LATENCY_CACHE
     total = 0
     for instr in prog.code:
-        cached = cache.get(id(instr))
-        if cached is not None:
-            total += cached[1]
-        else:
-            total += instruction_latency(instr)
+        latency = instr.__dict__.get("_latency")
+        total += instruction_latency(instr) if latency is None else latency
     return total

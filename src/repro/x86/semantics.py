@@ -30,6 +30,7 @@ engines, and therefore harmless to the reproduction):
 
 from __future__ import annotations
 
+from functools import wraps
 from typing import Protocol, TypeVar
 
 from repro.errors import EmulationError, OperandTypeError
@@ -70,6 +71,24 @@ class Machine(Protocol[V]):
     def known_zero(self, width: int, value: V) -> bool | None:
         """True/False when the value is statically known (non)zero."""
         ...
+
+
+def outlined(fn):
+    """Let a machine take over calls of the helper ``fn``.
+
+    ``fn(m, key, *values)`` takes one static argument (a width or a
+    condition code) and then values (or None). A machine with an
+    ``outline`` method receives ``m.outline(fn, (key, *values))`` and
+    answers in ``fn``'s place (the compiler calls one shared compiled
+    copy of ``fn`` per key); any other machine runs ``fn`` itself.
+    """
+    @wraps(fn)
+    def call(m, *args):
+        outline = getattr(m, "outline", None)
+        if outline is None:
+            return fn(m, *args)
+        return outline(fn, args)
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +181,7 @@ def _parity_flag(alg: Algebra[V], width: int, value: V) -> V:
     return alg.not_(1, low)
 
 
+@outlined
 def _write_result_flags(m: Machine[V], width: int, result: V) -> None:
     alg = m.alg
     m.write_flag("ZF", alg.eq(width, result, alg.const(width, 0)))
@@ -169,6 +189,7 @@ def _write_result_flags(m: Machine[V], width: int, result: V) -> None:
     m.write_flag("PF", _parity_flag(alg, width, result))
 
 
+@outlined
 def cc_value(m: Machine[V], cc: str) -> V:
     """Evaluate a canonical condition code to a 1-bit value."""
     alg = m.alg
@@ -220,6 +241,7 @@ def cc_value(m: Machine[V], cc: str) -> V:
 # arithmetic building blocks
 # ---------------------------------------------------------------------------
 
+@outlined
 def _add_with_carry(m: Machine[V], width: int, a: V, b: V,
                     carry_in: V | None) -> tuple[V, V, V]:
     """Return (result, CF, OF) of a + b (+ carry)."""
@@ -236,6 +258,7 @@ def _add_with_carry(m: Machine[V], width: int, a: V, b: V,
     return result, cf, of
 
 
+@outlined
 def _sub_with_borrow(m: Machine[V], width: int, a: V, b: V,
                      borrow_in: V | None) -> tuple[V, V, V]:
     """Return (result, CF, OF) of a - b (- borrow)."""

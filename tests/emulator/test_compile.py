@@ -27,7 +27,7 @@ from repro.cost.correctness import testcase_cost as eq_cost
 from repro.cost.function import CostFunction, Phase
 from repro.emulator import compile as compile_module
 from repro.emulator.compile import (COUNTERS, compile_program,
-                                    compiled_step)
+                                    compiled_step, state_args)
 from repro.emulator.cpu import Emulator
 from repro.emulator.lanes import LaneSuite
 from repro.emulator.sandbox import Sandbox
@@ -267,7 +267,7 @@ def _assert_step_identical(instr, step):
         reference = state.copy()
         execute(instr, Emulator(reference, Sandbox(_VALID)))
         compiled = state.copy()
-        step(compiled, Sandbox(_VALID))
+        step(*state_args(compiled, Sandbox(_VALID)))
         assert _snapshot(reference) == _snapshot(compiled), str(instr)
 
 

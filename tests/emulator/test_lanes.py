@@ -67,7 +67,8 @@ def _batch(record, arity: int):
     shape = builder.shape()
     if shape not in _BATCHES:
         header, _, text = shape.partition("\n")
-        params = header[len("def _step(s, box"):-len("):")]
+        params = header[len("def _step(" + ", ".join(
+            compile_module.STATE_ARGS)):-len("):")]
         loads = "".join(f"        regs[{name!r}] = case[{i}]\n"
                         for i, name in enumerate(names))
         body = "".join(f"        {line}\n" for line in text.split("\n"))
