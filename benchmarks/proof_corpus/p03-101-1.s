@@ -1,0 +1,23 @@
+# proof corpus entry p03-101-1: sweep-101
+# live_in: edi
+# live_out: eax
+# target
+  movl edi, -8(rsp)
+  movl -8(rsp), eax
+  negl eax
+  movl eax, -16(rsp)
+  movl -8(rsp), eax
+  movl -16(rsp), ecx
+  andl ecx, eax
+  movl eax, -24(rsp)
+  movl -24(rsp), eax
+# rewrite
+  movl edi, -8(rsp)
+  movl -8(rsp), eax
+  negl eax
+  movl eax, -16(rsp)
+  cmovnal -8(rsp), eax
+  movl -16(rsp), ecx
+  andl ecx, eax
+  movl eax, -24(rsp)
+  movl -24(rsp), eax

@@ -181,7 +181,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     bench = benchmark(args.kernel)
     outcome = Validator().validate(bench.o0, bench.gcc, bench.spec)
     print(f"gcc -O3 equivalent to llvm -O0: {outcome.equivalent} "
-          f"({outcome.num_clauses} clauses, {outcome.seconds:.1f}s)")
+          f"({outcome.num_clauses} clauses, {outcome.conflicts} conflicts, "
+          f"{outcome.seconds:.1f}s)")
     return 0 if outcome.equivalent else 1
 
 

@@ -28,12 +28,17 @@ class CheckOutcome:
         model: variable name -> integer value (only when SAT).
         num_vars / num_clauses: size of the blasted instance, for
             throughput reporting (Figure 2).
+        conflicts / decisions / propagations: the SAT solver's work
+            (see :class:`~repro.smt.sat.Solver`).
     """
 
     result: SatResult
     model: dict[str, int]
     num_vars: int
     num_clauses: int
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
 
     @property
     def is_sat(self) -> bool:
@@ -70,4 +75,7 @@ class BVSolver:
             model=model,
             num_vars=blaster.cnf.num_vars,
             num_clauses=len(blaster.cnf.clauses),
+            conflicts=solver.conflicts,
+            decisions=solver.decisions,
+            propagations=solver.propagations,
         )

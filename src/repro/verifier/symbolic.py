@@ -12,7 +12,9 @@ Key modeling choices (all from Section 5.2 of the paper):
   that agree only on the live inputs;
 * memory is byte-addressed; each machine has its own guarded write
   chain over a *shared* initial memory, and reads walk the chain with
-  ite chains on address equality ("addr1 = addr2 => val1 = val2");
+  ite chains on address equality ("addr1 = addr2 => val1 = val2").
+  Each write keeps its address as base + constant offset, so a read
+  passes over a write it provably misses without building its ite;
 * stack addresses in base+offset form collapse structurally thanks to
   the canonical forms in :mod:`repro.smt.bitvec`;
 * wide multiplications are uninterpreted functions shared across both
@@ -155,6 +157,8 @@ class _Write:
     guard: BV
     addr: BV
     value: BV      # one byte
+    base: BV       # addr as base + offset (Context._base_offset)
+    offset: int
 
 
 class SymbolicMachine:
@@ -220,9 +224,30 @@ class SymbolicMachine:
         return result
 
     def _read_byte(self, addr: BV) -> BV:
+        """The byte at ``addr``: an ite per write that may alias it.
+
+        A write at the read's base with another offset, or at another
+        constant address, is skipped: there ``eq`` folds to the false
+        constant, ``and_`` to false and ``ite`` to the value below, so
+        no node would be made. The skipped ``eq`` would still have
+        interned the false constant, so the first skip asks for it and
+        node ids stay what the full walk gives.
+        """
         ctx = self.ctx
         value = self.shared.initial_byte(addr)
+        base, offset = Context._base_offset(addr)
+        is_const = addr.is_const
+        skipped = False
         for write in self.writes:                       # oldest..newest
+            if write.base is base:
+                missed = write.offset != offset
+            else:
+                missed = is_const and write.addr.is_const
+            if missed:
+                if not skipped:
+                    ctx.false()
+                    skipped = True
+                continue
             hit = ctx.and_(1, write.guard, ctx.eq(64, addr, write.addr))
             value = ctx.ite(8, hit, write.value, value)
         return value
@@ -232,7 +257,8 @@ class SymbolicMachine:
         for i in range(nbytes):
             byte_addr = ctx.add(64, addr, ctx.const(64, i))
             byte = ctx.extract(8 * i + 7, 8 * i, value)
-            self.writes.append(_Write(self.guard, byte_addr, byte))
+            self.writes.append(_Write(self.guard, byte_addr, byte,
+                                      *Context._base_offset(byte_addr)))
 
     def fpe(self) -> None:
         raise SymbolicExecutionError(

@@ -57,13 +57,22 @@ class Counterexample:
 
 @dataclass
 class ValidationResult:
-    """Outcome of one equivalence query."""
+    """Outcome of one equivalence query.
+
+    ``num_vars`` / ``num_clauses`` size the blasted instance, and
+    ``conflicts`` / ``decisions`` / ``propagations`` count the SAT
+    solver's work; all are 0 when the miter folds to a constant and no
+    solver runs.
+    """
 
     equivalent: bool
     counterexample: Counterexample | None = None
     num_vars: int = 0
     num_clauses: int = 0
     seconds: float = 0.0
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
 
 
 #: Memoized proofs per validator; the memo starts over when full.
@@ -151,18 +160,18 @@ class Validator:
             solver.add(constraint)
         solver.add(difference)
         outcome = solver.check()
-        elapsed = time.perf_counter() - start
+        work = dict(num_vars=outcome.num_vars,
+                    num_clauses=outcome.num_clauses,
+                    seconds=time.perf_counter() - start,
+                    conflicts=outcome.conflicts,
+                    decisions=outcome.decisions,
+                    propagations=outcome.propagations)
         if not outcome.is_sat:
-            return ValidationResult(equivalent=True,
-                                    num_vars=outcome.num_vars,
-                                    num_clauses=outcome.num_clauses,
-                                    seconds=elapsed)
+            return ValidationResult(equivalent=True, **work)
         cex = self._extract_counterexample(ctx, shared, live_in,
                                            outcome.model)
         return ValidationResult(equivalent=False, counterexample=cex,
-                                num_vars=outcome.num_vars,
-                                num_clauses=outcome.num_clauses,
-                                seconds=elapsed)
+                                **work)
 
     # -- query construction ------------------------------------------------------
 
