@@ -10,8 +10,15 @@ live spec in the header. ``corpus.json`` records what proving it gave:
 * ``learned_sha256``: the solver's learned clauses, in order;
 * ``model_sha256``: the solver's bit model (SAT only);
 * ``counterexample``: the refuting initial state's registers and a
-  digest of its memory (SAT only).
+  digest of its memory (SAT only);
+* ``rewritten_verdict``, ``rewritten_cnf_sha256``,
+  ``rewritten_conflicts`` and ``rewritten_learned_sha256``: the same
+  for the query :meth:`Validator.validate` decides, after the
+  word-level rewrite of ``repro.smt.rewrite`` (``None`` where the
+  rewrite settles the query and no solver runs).
 
+Every other number is the query as symbolic execution builds it,
+before the rewrite, taken from the validator's internal query builder.
 A change that only makes proofs cheaper (the SAT core, symbolic
 execution) must reproduce every number::
 
@@ -33,6 +40,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +59,8 @@ CORPUS = Path(__file__).resolve().parent / "proof_corpus"
 SWEEP_SEEDS = (101, 102, 2025138564)
 SWEEP_KERNELS = ("p01", "p03", "p06", "p14")
 MONT_SEEDS = (42, 48)
+#: What is pinned of the rewritten query each validator call decides.
+REWRITTEN_KEYS = ("verdict", "cnf_sha256", "conflicts", "learned_sha256")
 
 
 @dataclass
@@ -66,9 +76,9 @@ def _digest(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def prove(target: Program, rewrite: Program, spec: LiveSpec) -> Proof:
-    """Validate once with a fresh :class:`Validator`, recording the CNF
-    and the solver."""
+def _recorded(decide) -> tuple[dict, Solver | None]:
+    """Run ``decide`` (a validator call) and record the one solver it
+    makes; the numbers of that proof."""
     seen: list[tuple[str, CNF, Solver]] = []
 
     class Recording(Solver):
@@ -80,12 +90,12 @@ def prove(target: Program, rewrite: Program, spec: LiveSpec) -> Proof:
     original = bv_solver.Solver
     bv_solver.Solver = Recording
     try:
-        result = Validator().validate(target, rewrite, spec)
+        result = decide()
     finally:
         bv_solver.Solver = original
     numbers = {"verdict": "unsat" if result.equivalent else "sat"}
     if not seen:
-        return Proof({**numbers, "cnf_sha256": None})
+        return {**numbers, "cnf_sha256": None}, None
     (cnf_sha, cnf, solver), = seen
     numbers.update(
         cnf_sha256=cnf_sha, num_vars=cnf.num_vars,
@@ -98,6 +108,21 @@ def prove(target: Program, rewrite: Program, spec: LiveSpec) -> Proof:
         numbers["counterexample"] = {
             "registers": cex.registers,
             "memory_sha256": _digest(sorted(cex.memory.items()))}
+    return numbers, solver
+
+
+def prove(target: Program, rewrite: Program, spec: LiveSpec) -> Proof:
+    """Prove the query as symbolic execution builds it, and as the
+    validator decides it after its word-level rewrite, each with a fresh
+    :class:`Validator`; the solver is the unrewritten query's."""
+    validator = Validator()
+    query = validator._query(target, rewrite, spec)
+    numbers, solver = _recorded(lambda: validator._decide(
+        query, query.roots, time.perf_counter()))
+    rewritten, _ = _recorded(
+        lambda: Validator().validate(target, rewrite, spec))
+    for key in REWRITTEN_KEYS:
+        numbers[f"rewritten_{key}"] = rewritten.get(key)
     return Proof(numbers, solver)
 
 

@@ -177,13 +177,30 @@ def _cmd_optimize_file(args: argparse.Namespace) -> int:
     return _report(session.run(), args.json)
 
 
+#: ``repro validate``'s exit code for a refutation that the reference
+#: emulator cannot reproduce.
+SPURIOUS_EXIT = 8
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
+    """Exit 0 when proved, 1 when refuted by a counterexample that the
+    reference emulator replays, and :data:`SPURIOUS_EXIT` when the
+    emulator runs both programs alike from the counterexample."""
+    from repro.testgen.generator import TestcaseGenerator
     bench = benchmark(args.kernel)
     outcome = Validator().validate(bench.o0, bench.gcc, bench.spec)
     print(f"gcc -O3 equivalent to llvm -O0: {outcome.equivalent} "
           f"({outcome.num_clauses} clauses, {outcome.conflicts} conflicts, "
           f"{outcome.seconds:.1f}s)")
-    return 0 if outcome.equivalent else 1
+    if outcome.equivalent:
+        return 0
+    generator = TestcaseGenerator(bench.o0, bench.spec, bench.annotations)
+    if generator.refutes(bench.gcc, outcome.counterexample):
+        return 1
+    print("spurious refutation: the reference emulator runs both "
+          "programs alike from the counterexample (an uninterpreted "
+          "function in the query)")
+    return SPURIOUS_EXIT
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
@@ -411,8 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(optimize_file)
     optimize_file.set_defaults(fn=_cmd_optimize_file)
 
-    validate = sub.add_parser("validate",
-                              help="prove gcc -O3 equals llvm -O0")
+    validate = sub.add_parser(
+        "validate", help="prove gcc -O3 equals llvm -O0",
+        description="Prove gcc -O3 equals llvm -O0. Exits 0 when "
+                    "proved, 1 when refuted, and "
+                    f"{SPURIOUS_EXIT} when the refutation is spurious: "
+                    "the reference emulator cannot reproduce its "
+                    "counterexample.")
     validate.add_argument("kernel")
     validate.set_defaults(fn=_cmd_validate)
 

@@ -51,7 +51,9 @@ from repro.engine.executor import make_executor
 from repro.engine.faults import FaultInjectingExecutor
 from repro.engine.jobs import (ChainJob, JobResult, payload_problem,
                                result_from_json)
-from repro.engine.serialize import Json
+from repro.engine.serialize import (Json, program_from_json,
+                                    program_to_json, testcase_from_json,
+                                    testcase_to_json)
 from repro.engine.worker import CampaignContext
 from repro.errors import (CorruptPayloadError, EngineError,
                           JobTimeoutError, StaleGrantError,
@@ -582,11 +584,23 @@ class KernelSchedule:
         Runs in the orchestrating process on the campaign's merged
         suite, so the shrunk program is a pure function of the
         campaign outcome: bit-identical on every executor, and again
-        on a resume (whose ``minimize`` record dedups). A hardened
-        campaign persists the refuted shrink candidates'
-        counterexamples like its chains' own.
+        on a resume. A hardened campaign persists the refuted shrink
+        candidates' counterexamples like its chains' own.
+
+        The ``minimize`` record journals the shrunk program and those
+        counterexamples, so a resume of a finished shrink rebuilds its
+        result from the record and proves nothing again.
         """
         campaign = self.campaign
+        journaled = (self.metrics.minimized if self.metrics is not None
+                     else None)
+        if journaled is not None and "shrunk" in journaled:
+            shrunk = journaled["shrunk"]
+            return MinimizeResult.from_json(
+                journaled["telemetry"], original=rewrite,
+                program=program_from_json(shrunk["program"]),
+                cegis_testcases=[testcase_from_json(testcase) for testcase
+                                 in shrunk["cegis_testcases"]])
         minimizer = Minimizer(campaign.target, campaign.spec,
                               campaign.annotations,
                               validator=campaign.validator,
@@ -595,7 +609,10 @@ class KernelSchedule:
         if self.cex_suite is not None:
             self.cex_suite.append(minimized.cegis_testcases)
         if self.metrics is not None:
-            self.metrics.record_minimize(self.name, minimized.to_json())
+            self.metrics.record_minimize(self.name, minimized.to_json(), {
+                "program": program_to_json(minimized.program),
+                "cegis_testcases": [testcase_to_json(testcase) for testcase
+                                    in minimized.cegis_testcases]})
         return minimized
 
     def _journal_campaign_metrics(self, seconds: float) -> None:

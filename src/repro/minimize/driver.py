@@ -74,6 +74,24 @@ class MinimizeResult:
     def shrunk(self) -> bool:
         return self.measure_after < self.measure_before
 
+    @classmethod
+    def from_json(cls, telemetry: dict[str, Any], *, program: Program,
+                  original: Program,
+                  cegis_testcases: list[Testcase]) -> "MinimizeResult":
+        """The result whose :meth:`to_json` was ``telemetry``, rebuilt
+        from a journal with the programs and counterexamples it names."""
+        return cls(program=program, original=original,
+                   verified=telemetry["verified"],
+                   measure_before=telemetry["measure_before"],
+                   measure_after=telemetry["measure_after"],
+                   attempts=telemetry["attempts"],
+                   prefilter_rejects=telemetry["prefilter_rejects"],
+                   verify_calls=telemetry["verify_calls"],
+                   refuted=telemetry["refuted"],
+                   accepted=dict(telemetry["accepted"]),
+                   cegis_testcases=cegis_testcases,
+                   seconds=telemetry["runtime"]["seconds"])
+
     def to_json(self) -> dict[str, Any]:
         """Pass-level telemetry, journal- and report-ready."""
         return {

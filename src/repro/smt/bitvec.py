@@ -6,6 +6,12 @@ and aggressively simplified at construction time: constant folding plus
 the algebraic identities that make structurally similar programs (the
 common case in equivalence checking) collapse before any SAT work.
 
+Construction-time rules see one node and its arguments. The validator
+then rebuilds its whole assembled query through these constructors
+with :func:`repro.smt.rewrite.rewrite_query`, whose rules look across
+nodes (bytes glued back into a value, a sum widened for its carry, an
+``ite`` in a shift count), before :mod:`repro.smt.tseitin` blasts it.
+
 Widths are explicit everywhere. A 1-bit vector doubles as a boolean.
 """
 

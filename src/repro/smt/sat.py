@@ -5,11 +5,13 @@ DIMACS convention: variable ``v`` (a positive int) appears as ``v`` or
 ``-v``. The solver is deliberately self-contained — no external solver
 exists in this environment — and is tuned for the bit-blasted
 equivalence queries the validator produces: structured, mostly UNSAT
-instances. A campaign's mean query has about 230 variables and 610
-clauses; its costly tail has 560-980 variables, 1.7k-3k clauses and
-1.2k-1.3k conflicts (p14's shift by a ``cmov``-selected count), and
-Montgomery multiplication's queries reach 4.5k variables and 14k
-clauses.
+instances. After the validator's word-level rewrite
+(:mod:`repro.smt.rewrite`), a campaign-sweep instance sends 2-4 of its
+13-15 distinct queries to the solver, with about 290 variables and 800
+clauses on average; its costly tail is p03's 94-conflict queries and
+p14's shift by a ``cmov``-selected count at 1-63 conflicts (1.2k-1.3k
+before the rewrite). Montgomery multiplication's queries reach 4.5k
+variables and 14k clauses.
 
 **Same decisions.** The hot loop works on flat arrays: one value per
 literal (``val[lit]``, with ``-v`` indexing from the end of the list,

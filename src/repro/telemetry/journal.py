@@ -11,7 +11,10 @@ versioned (``"v"``). Three record shapes share the file::
      "telemetry": {<merged deterministic wire form>},
      "runtime": {seconds, grant latencies, occupancy timeline}}
     {"v": 1, "record": "minimize", "kernel": ...,
-     "telemetry": {<MinimizeResult.to_json() wire form>}}
+     "telemetry": {<MinimizeResult.to_json() wire form>},
+     "shrunk": {"program": ..., "cegis_testcases": [...]}}
+
+(``shrunk`` is written by the engine, whose resume reuses it.)
 
 One ``chain`` record lands the moment a chain job completes (so an
 in-progress run is reportable live); the single ``campaign`` record
@@ -99,8 +102,13 @@ class MetricsLog:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._seen = {self._key(_validate(record)) for record in
-                      jsonl.resume(self.path, "metrics journal")}
+        #: the journaled ``minimize`` record, if there is one
+        self.minimized: Json | None = None
+        self._seen = set()
+        for record in jsonl.resume(self.path, "metrics journal"):
+            self._seen.add(self._key(_validate(record)))
+            if record["record"] == RECORD_MINIMIZE:
+                self.minimized = record
 
     @staticmethod
     def _key(record: Json) -> tuple[str, str]:
@@ -125,11 +133,18 @@ class MetricsLog:
                              "kernel": kernel, "telemetry": telemetry,
                              "runtime": runtime})
 
-    def record_minimize(self, kernel: str, telemetry: Json) -> bool:
-        """Journal the winner-shrink summary; False if already there."""
-        return self._append({"v": METRICS_VERSION,
-                             "record": RECORD_MINIMIZE,
-                             "kernel": kernel, "telemetry": telemetry})
+    def record_minimize(self, kernel: str, telemetry: Json,
+                        shrunk: Json | None = None) -> bool:
+        """Journal the winner-shrink summary; False if already there.
+
+        ``shrunk`` carries what a resume needs to skip the shrink: the
+        shrunk program and the refuted candidates' counterexamples.
+        """
+        record = {"v": METRICS_VERSION, "record": RECORD_MINIMIZE,
+                  "kernel": kernel, "telemetry": telemetry}
+        if shrunk is not None:
+            record["shrunk"] = shrunk
+        return self._append(record)
 
     def _append(self, record: Json) -> bool:
         key = self._key(record)

@@ -58,6 +58,25 @@ class TestcaseGenerator:
             input_regs["rsp"] = cex.registers.get("rsp", STACK_BASE)
         return self._record((input_regs, dict(cex.memory)))
 
+    def refutes(self, rewrite: Program, cex: Counterexample) -> bool:
+        """Whether the reference emulator tells the target and
+        ``rewrite`` apart from ``cex``'s initial state.
+
+        False marks a spurious refutation: a model of an abstraction in
+        the validator's query (an uninterpreted function) that no run of
+        the two programs reproduces.
+        """
+        testcase = self.from_counterexample(cex)
+        state = testcase.initial_state()
+        Emulator(state, Sandbox.recorder()).run(rewrite)
+        got_regs = tuple(sorted((name, state.get_reg(name))
+                                for name in self.spec.live_out))
+        got_memory = tuple((addr, state.memory.get(addr, 0))
+                           for addr, _ in testcase.expected_memory)
+        return state.events.sigfpe or \
+            (got_regs, got_memory) != (testcase.expected_regs,
+                                       testcase.expected_memory)
+
     # -- input sampling -------------------------------------------------------
 
     def _sample_inputs(self) -> tuple[dict[str, int], dict[int, int]]:

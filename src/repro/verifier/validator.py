@@ -7,6 +7,16 @@ query over the built-in SMT stack and decides it by bit-blasting; a SAT
 answer yields a counterexample that the search turns into a new
 testcase (Eq. 12's refinement loop).
 
+A proof has three steps. :meth:`Validator._query` runs both programs
+symbolically and assembles the query: the difference of the live
+outputs plus the memory and UF consistency constraints.
+:func:`~repro.smt.rewrite.rewrite_query` rebuilds it at the word level,
+as STP does before it bit-blasts, so a difference that rewrites to
+false is never blasted. :meth:`Validator._decide` blasts and solves
+what is left, and reads a refutation's counterexample from the model
+of the rewritten query (the rewrite keeps every root's value, so that
+model satisfies the query as built).
+
 The search asks the same question many times over: chains of one
 campaign converge on the same rewrites, and a refuted candidate's
 siblings come back after refinement. :meth:`Validator.prove` answers a
@@ -21,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.errors import SymbolicExecutionError
 from repro.smt.bitvec import BV, Context
+from repro.smt.rewrite import rewrite_query
 from repro.smt.solver import BVSolver
 from repro.verifier.symbolic import (DEFAULT_UF_WIDTH, SharedMemory,
                                      SymbolicExecutor, SymbolicMachine,
@@ -128,11 +139,51 @@ class Validator:
                  spec: LiveSpec) -> ValidationResult:
         """Prove or refute equivalence on the live outputs.
 
+        The assembled query goes through :func:`rewrite_query` first, so
+        a miter that rewrites to false is never blasted.
+
         Raises:
             SolverTimeoutError: when the SAT conflict budget runs out.
             SymbolicExecutionError: if a program cannot be translated.
         """
         start = time.perf_counter()
+        query = self._query(target, rewrite, spec)
+        return self._decide(query, rewrite_query(query.ctx, query.roots),
+                            start)
+
+    def _decide(self, query: "_Query", roots: list[BV],
+                start: float) -> ValidationResult:
+        """Decide ``roots``, the query's roots or their rewrite: the
+        consistency constraints and, last, the difference."""
+        difference = roots[-1]
+        if difference.is_const and difference.value == 0:
+            return ValidationResult(
+                equivalent=True,
+                seconds=time.perf_counter() - start)
+
+        solver = BVSolver(query.ctx, max_conflicts=self.max_conflicts)
+        for constraint in roots:
+            solver.add(constraint)
+        outcome = solver.check()
+        work = dict(num_vars=outcome.num_vars,
+                    num_clauses=outcome.num_clauses,
+                    seconds=time.perf_counter() - start,
+                    conflicts=outcome.conflicts,
+                    decisions=outcome.decisions,
+                    propagations=outcome.propagations)
+        if not outcome.is_sat:
+            return ValidationResult(equivalent=True, **work)
+        cex = self._extract_counterexample(query.ctx, query.shared,
+                                           query.live_in, outcome.model)
+        return ValidationResult(equivalent=False, counterexample=cex,
+                                **work)
+
+    # -- query construction ------------------------------------------------------
+
+    def _query(self, target: Program, rewrite: Program,
+               spec: LiveSpec) -> "_Query":
+        """The equivalence query as symbolic execution builds it, before
+        any rewriting."""
         ctx = Context()
         shared = SharedMemory(ctx)
         ufs = UFTable(ctx)
@@ -149,31 +200,11 @@ class Validator:
         difference = self._difference(ctx, machines["t"], machines["r"],
                                       live_in, spec)
         if difference.is_const and difference.value == 0:
-            return ValidationResult(
-                equivalent=True,
-                seconds=time.perf_counter() - start)
-
-        solver = BVSolver(ctx, max_conflicts=self.max_conflicts)
-        for constraint in shared.consistency_constraints():
-            solver.add(constraint)
-        for constraint in ufs.consistency_constraints():
-            solver.add(constraint)
-        solver.add(difference)
-        outcome = solver.check()
-        work = dict(num_vars=outcome.num_vars,
-                    num_clauses=outcome.num_clauses,
-                    seconds=time.perf_counter() - start,
-                    conflicts=outcome.conflicts,
-                    decisions=outcome.decisions,
-                    propagations=outcome.propagations)
-        if not outcome.is_sat:
-            return ValidationResult(equivalent=True, **work)
-        cex = self._extract_counterexample(ctx, shared, live_in,
-                                           outcome.model)
-        return ValidationResult(equivalent=False, counterexample=cex,
-                                **work)
-
-    # -- query construction ------------------------------------------------------
+            # no output can differ: the constraints could not matter
+            return _Query(ctx, shared, live_in, [difference])
+        return _Query(ctx, shared, live_in,
+                      [*shared.consistency_constraints(),
+                       *ufs.consistency_constraints(), difference])
 
     @staticmethod
     def _live_in_values(ctx: Context, spec: LiveSpec) -> dict[str, BV]:
@@ -251,6 +282,21 @@ class Validator:
             addr = ctx.evaluate(addr_expr, model)
             memory[addr] = model.get(var.name, 0)
         return Counterexample(registers=registers, memory=memory)
+
+
+@dataclass
+class _Query:
+    """One assembled equivalence query.
+
+    ``roots`` are the 1-bit constraints the solver must satisfy at once:
+    the memory and UF consistency constraints, then the difference of
+    the live outputs, always last.
+    """
+
+    ctx: Context
+    shared: SharedMemory
+    live_in: dict[str, BV]
+    roots: list[BV]
 
 
 class _AddressEvaluator:

@@ -8,6 +8,7 @@ from repro.perfsim.model import actual_runtime
 from repro.search.config import SearchConfig
 from repro.suite.registry import benchmark
 from repro.telemetry import RECORD_MINIMIZE, read_metrics
+from repro.verifier.validator import Validator
 from repro.x86.printer import format_program
 
 
@@ -104,3 +105,28 @@ def test_resuming_a_finished_minimize_campaign_adds_no_record(tmp_path):
     assert _deterministic(records[0]["telemetry"]) == \
         _deterministic(first.minimize)
 
+
+
+def test_resuming_a_finished_minimize_campaign_proves_nothing(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(runner, "search_config",
+                        lambda bench, seed, **_: _config(seed))
+    args = ["engine", "campaign", "p01", "p03", "--minimize",
+            "--run-dir", str(tmp_path)]
+    rows = []
+    for resume in (False, True):
+        assert cli.main(args + ["--resume"] * resume) == 0
+        rows.append([line.split("  [")[0] for line in
+                     capsys.readouterr().out.splitlines()[:-1]])
+        if not resume:
+            calls, proof = [], Validator.validate
+
+            def counted(self, *query):
+                calls.append(query)
+                return proof(self, *query)
+            monkeypatch.setattr(Validator, "validate", counted)
+    assert calls == []
+    assert rows[1] == rows[0] and len(rows[0]) == 2
+    for kernel in ("p01", "p03"):
+        record, = _minimize_records(tmp_path / kernel)
+        assert record["shrunk"]["program"]["slots"]

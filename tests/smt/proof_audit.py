@@ -10,14 +10,19 @@ Every UNSAT answer (an *equivalent* verdict) must pass the RUP check of
 the recorded numbers and certifies each answer. ``campaign`` runs
 ``repro engine campaign`` with the given arguments in this process
 (the serial executor, so every proof happens here) and certifies every
-answer the solver gives. Either exits 1 on any failure, and also when
-it certified no UNSAT at all: an audit that checked nothing fails.
+answer the solver gives. It also decides every validator query a second
+time as symbolic execution built it, before the word-level rewrite,
+and fails if the two verdicts differ; and it replays every refutation's
+counterexample on the reference ``Emulator``, which must tell the two
+programs apart. Either mode exits 1 on any failure, and also when it
+certified no UNSAT at all: an audit that checked nothing fails.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,6 +33,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from rup import certify_unsat, satisfies  # noqa: E402
 
 from repro.smt.sat import Solver  # noqa: E402
+from repro.testgen.annotations import Annotations  # noqa: E402
+from repro.testgen.generator import TestcaseGenerator  # noqa: E402
+from repro.verifier.validator import Validator  # noqa: E402
 
 
 class Tally:
@@ -36,6 +44,8 @@ class Tally:
     def __init__(self) -> None:
         self.unsat = 0
         self.sat = 0
+        self.cross_checked = 0
+        self.replayed = 0
         self.failures: list[str] = []
 
     def audit(self, solver: Solver, clauses, sat: bool,
@@ -72,6 +82,38 @@ def certifying(tally: Tally):
         Solver.__init__, Solver.solve = init, solve
 
 
+@contextmanager
+def cross_checking(tally: Tally):
+    """Check every :meth:`Validator.validate` made inside the block: the
+    unrewritten query must get the same verdict, and the reference
+    emulator must reproduce every refutation."""
+    validate = Validator.validate
+
+    def checked(self, target, rewrite, spec):
+        result = validate(self, target, rewrite, spec)
+        query = self._query(target, rewrite, spec)
+        plain = self._decide(query, query.roots, time.perf_counter())
+        tally.cross_checked += 1
+        if plain.equivalent != result.equivalent:
+            tally.failures.append(
+                f"the rewritten query says equivalent={result.equivalent},"
+                f" the unrewritten one {plain.equivalent}:\n{rewrite}")
+        if not result.equivalent:
+            tally.replayed += 1
+            generator = TestcaseGenerator(target, spec, Annotations())
+            if not generator.refutes(rewrite, result.counterexample):
+                tally.failures.append(
+                    "the reference emulator does not reproduce the "
+                    f"refutation {result.counterexample}:\n{rewrite}")
+        return result
+
+    Validator.validate = checked
+    try:
+        yield tally
+    finally:
+        Validator.validate = validate
+
+
 def proof_corpus():
     """The ``benchmarks/proof_corpus.py`` module."""
     path = ROOT / "benchmarks" / "proof_corpus.py"
@@ -92,7 +134,7 @@ def audit_corpus(tally: Tally, *, mont: bool = True) -> None:
 
 def audit_campaign(tally: Tally, args: list[str]) -> None:
     from repro.cli import main
-    with certifying(tally):
+    with certifying(tally), cross_checking(tally):
         code = main(["engine", "campaign", *args])
     if code != 0:
         tally.failures.append(f"the campaign exited {code}")
@@ -109,8 +151,12 @@ def main(argv: list[str]) -> int:
         return 2
     for failure in tally.failures:
         print(failure)
-    print(f"certified {tally.unsat} UNSAT and checked {tally.sat} SAT "
-          f"answers; {len(tally.failures)} failures")
+    summary = (f"certified {tally.unsat} UNSAT and checked {tally.sat} "
+               "SAT answers")
+    if argv[:1] == ["campaign"]:
+        summary += (f"; decided {tally.cross_checked} queries unrewritten "
+                    f"and replayed {tally.replayed} refutations")
+    print(f"{summary}; {len(tally.failures)} failures")
     return 1 if tally.failures or not tally.unsat else 0
 
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from proof_audit import Tally, audit_corpus, certifying
+from proof_audit import Tally, audit_corpus, certifying, cross_checking
 from rup import certify_unsat, satisfies
 
 from repro.api import EngineOptions, SearchConfig, Session, Target
 from repro.engine.sweep import run_campaigns
 from repro.smt.sat import CNF, Solver
+from repro.suite.registry import benchmark
+from repro.verifier.validator import LiveSpec, Validator
+from repro.x86.parser import parse_program
 
 
 def _cnf(num_vars: int, clauses) -> CNF:
@@ -115,7 +118,23 @@ def test_every_unsat_of_a_two_kernel_sweep_is_certified(tmp_path):
                         engine=EngineOptions(run_dir=tmp_path / kernel,
                                              interleave=True))
                 for kernel in ("p01", "p03")]
-    with certifying(Tally()) as tally:
+    with certifying(Tally()) as tally, cross_checking(tally):
         run_campaigns([session.campaign() for session in sessions])
     assert tally.failures == []
+    assert tally.cross_checked > 0
     assert tally.unsat > 0
+
+
+def test_cross_check_replays_refutations_and_flags_a_spurious_one():
+    """and/or differ on the emulator; mont's o0/gcc refutation comes
+    from the 64-bit multiply UF and replays alike."""
+    with cross_checking(Tally()) as tally:
+        Validator().validate(parse_program("movq rdi, rax\nandq rsi, rax"),
+                             parse_program("movq rdi, rax\norq rsi, rax"),
+                             LiveSpec(("rdi", "rsi"), ("rax",)))
+        assert tally.failures == [] and tally.replayed == 1
+        mont = benchmark("mont")
+        Validator().validate(mont.o0, mont.gcc, mont.spec)
+    assert tally.cross_checked == 2 and tally.replayed == 2
+    failure, = tally.failures
+    assert "does not reproduce" in failure

@@ -131,3 +131,24 @@ def test_refutation_counterexamples_pin_rsp():
     testcase = TestcaseGenerator(target, spec, Annotations()).from_counterexample(cex)
     state = _run(target, testcase)          # must not fault
     assert state.get_reg("rax") == dict(testcase.expected_regs)["rax"]
+
+
+def test_refutes_replays_a_real_counterexample():
+    spec = _spec(["rdi", "rsi"], ["rax"])
+    target, rewrite, cex = _refute(
+        "movq rdi, rax\nandq rsi, rax",
+        "movq rdi, rax\norq rsi, rax",
+        spec)
+    generator = TestcaseGenerator(target, spec, Annotations())
+    assert generator.refutes(rewrite, cex)
+    assert not generator.refutes(target, cex)
+
+
+def test_validate_reports_the_spurious_mont_refutation(capsys):
+    """mont's o0/gcc refutation is a model of the 64-bit multiply UF:
+    both listings compute the same outputs from it on the emulator."""
+    from repro.cli import SPURIOUS_EXIT, main
+    assert main(["validate", "mont"]) == SPURIOUS_EXIT
+    out = capsys.readouterr().out
+    assert "equivalent to llvm -O0: False" in out
+    assert "spurious refutation" in out
