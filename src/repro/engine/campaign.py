@@ -397,7 +397,8 @@ class Campaign:
             assert store is not None     # enforced by EngineOptions
             from repro.minimize.cegis import CounterexampleSuite
             from repro.testgen.suite import append_unique
-            suite = CounterexampleSuite.for_run_dir(store.run_dir)
+            suite = CounterexampleSuite.for_run_dir(
+                store.run_dir, journals=store.journals)
             append_unique(testcases, suite.testcases())
         if store is not None:
             manifest = self._fingerprint()

@@ -13,10 +13,15 @@ Layout::
 The manifest freezes everything job results depend on, so a resumed
 campaign provably replays the same search, and resuming against a
 different campaign is rejected instead of silently mixing results.
-Every ``.jsonl`` file is an append-only journal written through
-:mod:`repro.jsonl`: fsynced per append, with a half-written final line
-(the interrupt case) discarded on load and healed away before the next
-append. A job whose record was torn simply re-runs.
+Every ``.jsonl`` file is an append-only journal written through the
+store's one :class:`repro.jsonl.Writer` (:attr:`CheckpointStore.journals`),
+which the sweep commits when it admits a wave, when the kernel
+finalizes and when it returns or raises. A kill loses nothing; a power
+loss loses at most the records since the last commit, whose jobs re-run
+to the same payload; and a grant or recovery decision is durable before
+any result it admits. A half-written final line is discarded on load
+and healed away before the next append, so a job whose record was torn
+simply re-runs.
 
 The manifest carries ``version`` (:data:`MANIFEST_VERSION`; any other
 version is rejected, not migrated), the frozen base ``testcases``, and
@@ -77,6 +82,9 @@ class CheckpointStore:
 
     def __init__(self, run_dir: str | Path) -> None:
         self.run_dir = Path(run_dir)
+        #: the run directory's journal writer, shared by its event,
+        #: metrics and counterexample logs; the sweep commits it
+        self.journals = jsonl.Writer()
         self.manifest_path = self.run_dir / "manifest.json"
         self.journal_path = self.run_dir / "jobs.jsonl"
         self.grants_path = self.run_dir / "grants.jsonl"
@@ -94,7 +102,9 @@ class CheckpointStore:
         counterexample suite is emptied *before* the manifest is
         replaced, so a crash in between leaves the old manifest over
         empty journals (a resume re-runs every job), never the new
-        manifest over the previous run's results.
+        manifest over the previous run's results. A journal that does
+        not exist yet is created without an fsync: there is nothing
+        stale to outlive a crash, and a missing journal reads as empty.
         """
         require_fields(manifest, _FINGERPRINT_FIELDS + ("testcases",),
                        "manifest")
@@ -102,7 +112,10 @@ class CheckpointStore:
         for path in (self.journal_path, self.grants_path,
                      self.recovery_path, self.events_path,
                      self.metrics_path):
-            jsonl.replace_atomically(path, [])
+            if path.exists():
+                self.journals.replace(path, [])
+            else:
+                path.touch()
         payload = dict(manifest)
         payload["version"] = MANIFEST_VERSION
         jsonl.replace_atomically(self.manifest_path,
@@ -136,27 +149,31 @@ class CheckpointStore:
         return manifest
 
     def record(self, payload: Json) -> None:
-        """Append one completed job result, durably."""
-        jsonl.append(self.journal_path, payload)
+        """Append one completed job result (durable at the next
+        commit; a lost one re-runs to the same payload)."""
+        self.journals.append(self.journal_path, payload)
 
     def record_grant(self, payload: Json) -> None:
-        """Append one scheduler grant decision, durably."""
-        jsonl.append(self.grants_path, payload)
+        """Append one scheduler grant decision; the sweep commits it
+        before the wave it admits is submitted."""
+        self.journals.append(self.grants_path, payload)
 
     def record_recovery(self, payload: Json) -> None:
-        """Append one recovery decision (retry/requeue/quarantine),
-        durably — quarantines especially must survive an interrupt, or
-        a resume would hammer a poisoned chain all over again."""
-        jsonl.append(self.recovery_path, payload)
+        """Append one recovery decision (retry/requeue/quarantine); the
+        sweep commits it before re-granting the job — quarantines
+        especially must survive an interrupt, or a resume would hammer
+        a poisoned chain all over again."""
+        self.journals.append(self.recovery_path, payload)
 
     def grants(self) -> list[Json]:
         """Journaled grant decisions, in decision order."""
-        return list(jsonl.resume(self.grants_path, "grants journal"))
+        return list(self.journals.resume(self.grants_path,
+                                         "grants journal"))
 
     def recovery(self) -> list[Json]:
         """Journaled recovery decisions, in decision order."""
-        return list(jsonl.resume(self.recovery_path,
-                                 "recovery journal"))
+        return list(self.journals.resume(self.recovery_path,
+                                         "recovery journal"))
 
     def completed(self) -> dict[str, Json]:
         """All journaled results, keyed by job id.
@@ -166,7 +183,7 @@ class CheckpointStore:
         else means the journal was edited by hand and is an error.
         """
         results: dict[str, Json] = {}
-        for payload in jsonl.resume(self.journal_path, "journal"):
+        for payload in self.journals.resume(self.journal_path, "journal"):
             if "job_id" not in payload:
                 raise EngineError(
                     f"journal record without job_id in "

@@ -37,10 +37,13 @@ refuses records of any other version. ``kernel-granted`` journals the
 scheduler's grant decisions, which makes a ``wallclock`` budget
 replayable: a resumed campaign re-reads the decisions, not the clock.
 
-Like every run-directory journal, the file is written through
-:mod:`repro.jsonl`: append-only, fsynced per record, and a torn
-trailing line (the interrupt case) is dropped on read and healed away
-on resume.
+Like every run-directory journal, the file is written through a
+:class:`repro.jsonl.Writer`: append-only, one write per record, so a
+follower sees it at once and a kill loses nothing. In a sweep the run
+directory's writer commits it with the grant decisions (a power loss
+loses at most the events since the last commit); on its own, each
+record is committed as it is written. A torn trailing line is dropped
+on read and healed away on resume.
 """
 
 from __future__ import annotations
@@ -180,24 +183,27 @@ class EventLog:
 
     Either sink is optional: with no path the stream is listener-only
     (an un-checkpointed run with ``--progress``), with no listener it
-    is a silent journal for later consumers. Records are flushed per
-    append so a follower (``tail -f``, a remote scheduler) sees each
-    event the moment the campaign emits it. An existing stream is
-    resumed, never emptied: a fresh run's stream is emptied by
-    :meth:`CheckpointStore.start_fresh`.
+    is a silent journal for later consumers. Each record is written
+    unbuffered, so a follower (``tail -f``, a remote scheduler) sees
+    each event the moment the campaign emits it; ``journals`` decides
+    when it is committed (by default, as it is written). An existing
+    stream is resumed, never emptied: a fresh run's stream is emptied
+    by :meth:`CheckpointStore.start_fresh`.
     """
 
     def __init__(self, path: str | Path | None = None,
-                 listener: ProgressListener | None = None) -> None:
+                 listener: ProgressListener | None = None, *,
+                 journals: jsonl.Writer | None = None) -> None:
         self.path = None if path is None else Path(path)
         self.listener = listener
+        self.journals = journals or jsonl.Writer(commit_each=True)
         self._seq = 0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             # decoded, not just counted: appending onto a stream of
             # another version would hand followers a mixed stream
             self._seq = sum(1 for _ in map(
-                event_from_json, jsonl.resume(self.path, "event")))
+                event_from_json, self.journals.resume(self.path, "event")))
 
     def emit(self, event_type: str, kernel: str, **data) -> ProgressEvent:
         """Record one event; returns it for callers that chain state."""
@@ -205,7 +211,7 @@ class EventLog:
                               seq=self._seq, data=data)
         self._seq += 1
         if self.path is not None:
-            jsonl.append(self.path, event_to_json(event))
+            self.journals.append(self.path, event_to_json(event))
         if self.listener is not None:
             self.listener(event)
         return event

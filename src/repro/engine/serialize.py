@@ -43,7 +43,7 @@ Json = dict[str, Any]
 
 def program_to_json(prog: Program) -> Json:
     return {
-        "slots": [None if is_unused(instr) else str(instr)
+        "slots": [None if is_unused(instr) else instr.text
                   for instr in prog.code],
         "labels": dict(prog.labels),
     }
@@ -78,7 +78,7 @@ def program_from_json(data: Json) -> Program:
 def program_key(prog: Program) -> str:
     """A dedup key: two programs with the same key behave identically."""
     compact = prog.compact()
-    return repr((tuple(str(i) for i in compact.code),
+    return repr((tuple(i.text for i in compact.code),
                  tuple(sorted(compact.labels.items()))))
 
 

@@ -38,6 +38,7 @@ import time
 from collections import deque
 from typing import Callable, TYPE_CHECKING
 
+from repro import jsonl
 from repro.engine import aggregator, scheduler
 from repro.engine.campaign import CampaignResult
 from repro.engine.checkpoint import CheckpointStore
@@ -105,12 +106,16 @@ class KernelSchedule:
         self.testcases, self.completed = campaign._initial_state(
             self.store)
         # on a fresh run start_fresh (in _initial_state) has already
-        # emptied both journals; the logs only ever append
+        # emptied both journals; the logs only ever append, through
+        # the run directory's one writer, which run_campaigns commits
+        self.journals = (self.store.journals if self.store is not None
+                         else jsonl.Writer())
         self.events = EventLog(
             path=(None if self.store is None
                   else self.store.events_path),
-            listener=options.progress)
-        self.metrics = (MetricsLog(self.store.metrics_path)
+            listener=options.progress, journals=self.journals)
+        self.metrics = (MetricsLog(self.store.metrics_path,
+                                   journals=self.journals)
                         if self.store is not None else None)
         self.rule = campaign.budget.rule()
         # the persistent CEGIS suite (harden): the fresh-start merge
@@ -120,7 +125,7 @@ class KernelSchedule:
         if options.harden and self.store is not None:
             from repro.minimize.cegis import CounterexampleSuite
             self.cex_suite = CounterexampleSuite.for_run_dir(
-                self.store.run_dir)
+                self.store.run_dir, journals=self.journals)
             self.cex_suite.note(self.testcases)
         self.context = CampaignContext(
             target=campaign.target, spec=campaign.spec,
@@ -575,6 +580,7 @@ class KernelSchedule:
         self.events.emit(CAMPAIGN_FINISHED, self.name, **finished)
         if self.metrics is not None:
             self._journal_campaign_metrics(result.seconds)
+        self.journals.commit()          # the kernel's finish is durable
         self._result = result
 
     def _minimize(self, rewrite: Program,
@@ -709,6 +715,14 @@ def run_campaigns(campaigns: list[Campaign], *,
     attempt reproduces the lost payload exactly — a campaign that
     survives injected faults ranks bit-identically to a fault-free
     run.
+
+    The sweep also group-commits the journals. Each run directory's
+    writer is committed right after a decision record (a grant or a
+    recovery), before the wave it admits is submitted, and when its
+    kernel finalizes; when the sweep returns or raises, every writer
+    is committed and closed. A kill loses nothing; a power loss loses
+    at most the records since a journal's last commit, and their jobs
+    re-run to the same payload.
     """
     if not campaigns:
         return []
@@ -773,12 +787,15 @@ def run_campaigns(campaigns: list[Campaign], *,
     # so in-flight state is keyed by (kernel, job id)
     tracked: dict[tuple[str, str], _InFlight] = {}
 
-    def admit(kernel: str, wave: list[ChainJob]) -> None:
+    def admit(schedule: KernelSchedule, wave: list[ChainJob]) -> None:
+        # group commit: the grant decision, and every record before
+        # it, is durable before any result of the wave can exist
+        schedule.journals.commit()
         now = clock()
         for job in wave:
-            tracked[kernel, job.job_id] = _InFlight(
-                kernel, job, 0, policy.deadline(now, 0))
-        executor.submit(kernel, wave)
+            tracked[schedule.name, job.job_id] = _InFlight(
+                schedule.name, job, 0, policy.deadline(now, 0))
+        executor.submit(schedule.name, wave)
 
     def fail_attempt(key: tuple[str, str], reason: str, *,
                      requeue: bool) -> None:
@@ -789,11 +806,13 @@ def run_campaigns(campaigns: list[Campaign], *,
         if attempts > policy.retries:
             del tracked[key]
             schedule.quarantine(flight.job, attempts, reason)
+            schedule.journals.commit()
             return
         if requeue:
             schedule.note_requeue(flight.job, attempts, reason)
         else:
             schedule.note_retry(flight.job, attempts, reason)
+        schedule.journals.commit()      # the decision before the retry
         flight.attempt = attempts
         flight.deadline = policy.deadline(clock(), attempts)
         executor.submit(flight.kernel, [flight.job])
@@ -820,7 +839,7 @@ def run_campaigns(campaigns: list[Campaign], *,
                 for schedule in schedules:       # fair-share rotation
                     pending = schedule.next_grant(clock() - start)
                     if pending:
-                        admit(schedule.name, pending)
+                        admit(schedule, pending)
                         progressed = True
             if all(schedule.done for schedule in schedules):
                 break
@@ -891,11 +910,15 @@ def run_campaigns(campaigns: list[Campaign], *,
                 schedule.note_stale(job_id)
     except BaseException:
         # don't block an error or Ctrl-C on queued chains; the
-        # journal already holds everything worth keeping (every
-        # event/metric/recovery record is flushed as it is written,
-        # and terminate() is idempotent even mid-shutdown)
+        # journals already hold everything worth keeping (every record
+        # is written as it is made, and terminate() is idempotent even
+        # mid-shutdown)
         executor.terminate()
         raise
     else:
         executor.close()
+    finally:
+        # the sweep's last commit point, returning or raising
+        for schedule in schedules:
+            schedule.journals.close()
     return [schedule.result for schedule in schedules]

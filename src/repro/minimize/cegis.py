@@ -16,11 +16,15 @@ Crucially, :meth:`CheckpointStore.start_fresh` truncates only the
 manifest and journals — the counterexample suite *survives* fresh
 restarts, which is what makes it a flywheel rather than per-run state.
 
-The file is written through :mod:`repro.jsonl`, like every
-run-directory journal: append-only JSONL, fsynced per append, and a
-torn trailing line healed away on load, so the next append cannot fuse
-onto it. Records are deduplicated by testcase input key, and records
-of an unknown version are skipped.
+The file is written through a :class:`repro.jsonl.Writer`, like every
+run-directory journal: append-only JSONL, one write per append (a kill
+loses nothing), and a torn trailing line healed away on load, so the
+next append cannot fuse onto it. On its own (``repro minimize``) the
+suite commits after each append; inside a sweep it shares the run
+directory's writer, so a power loss loses at most the counterexamples
+since the last commit, and the chains that found them re-run. Records
+are deduplicated by testcase input key, and records of an unknown
+version are skipped.
 """
 
 from __future__ import annotations
@@ -43,18 +47,23 @@ def suite_path(run_dir: str | Path) -> Path:
 class CounterexampleSuite:
     """One kernel's persistent counterexample file, with dedup state."""
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, *,
+                 journals: jsonl.Writer | None = None) -> None:
         self.path = Path(path)
+        self.journals = journals or jsonl.Writer(commit_each=True)
         self._seen: set[InputKey] = set()
         self._loaded = self._load()
 
     @classmethod
-    def for_run_dir(cls, run_dir: str | Path) -> "CounterexampleSuite":
-        return cls(suite_path(run_dir))
+    def for_run_dir(cls, run_dir: str | Path, *,
+                    journals: jsonl.Writer | None = None) \
+            -> "CounterexampleSuite":
+        return cls(suite_path(run_dir), journals=journals)
 
     def _load(self) -> list[Testcase]:
         testcases: list[Testcase] = []
-        for record in jsonl.resume(self.path, "counterexample suite"):
+        for record in self.journals.resume(self.path,
+                                           "counterexample suite"):
             if record.get("v") != SUITE_VERSION:
                 continue            # future format: skip, don't crash
             testcase = testcase_from_json(record["testcase"])
@@ -87,7 +96,7 @@ class CounterexampleSuite:
         if not novel:
             return 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        jsonl.append(self.path, *(
+        self.journals.append(self.path, *(
             {"v": SUITE_VERSION, "testcase": testcase_to_json(testcase)}
             for testcase in novel))
         self._loaded.extend(novel)

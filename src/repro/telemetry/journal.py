@@ -1,8 +1,11 @@
 """The metrics journal: ``RUN_DIR/metrics.jsonl`` and its merged view.
 
-Telemetry is written through :mod:`repro.jsonl`, like every
-run-directory journal: append-only JSONL, one fsynced record per line,
-a torn trailing line dropped and healed on resume. Records are
+Telemetry is written through a :class:`repro.jsonl.Writer`, like every
+run-directory journal: append-only JSONL, one record per line and per
+write, so a kill loses nothing. In a sweep it is committed with the run
+directory's other journals, so a power loss loses at most the records
+since the last commit; on its own, each append is committed. A torn
+trailing line is dropped and healed on resume. Records are
 versioned (``"v"``). Three record shapes share the file::
 
     {"v": 1, "record": "chain", "kernel": ..., "job_id": ...,
@@ -91,21 +94,25 @@ def read_metrics(path: str | Path) -> list[Json]:
 class MetricsLog:
     """Appends telemetry records to one run directory's journal.
 
-    Every record is fsynced before the engine moves on. Opening always
-    appends: it heals a torn tail (:func:`repro.jsonl.resume`) and
-    refuses records of an unknown version; emptying the journal for a
-    fresh run is :meth:`CheckpointStore.start_fresh`'s job. Appends
-    deduplicate by (kernel, job_id) so a resume can blindly backfill
-    journal-satisfied chains.
+    Every record is written before the engine moves on, and committed
+    by ``journals`` (by default, as it is written; in a sweep, with
+    the run directory's other journals). Opening always appends: it
+    heals a torn tail (:func:`repro.jsonl.resume`) and refuses records
+    of an unknown version; emptying the journal for a fresh run is
+    :meth:`CheckpointStore.start_fresh`'s job. Appends deduplicate by
+    (kernel, job_id) so a resume can blindly backfill journal-satisfied
+    chains.
     """
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, *,
+                 journals: jsonl.Writer | None = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.journals = journals or jsonl.Writer(commit_each=True)
         #: the journaled ``minimize`` record, if there is one
         self.minimized: Json | None = None
         self._seen = set()
-        for record in jsonl.resume(self.path, "metrics journal"):
+        for record in self.journals.resume(self.path, "metrics journal"):
             self._seen.add(self._key(_validate(record)))
             if record["record"] == RECORD_MINIMIZE:
                 self.minimized = record
@@ -151,7 +158,7 @@ class MetricsLog:
         if key in self._seen:
             return False
         self._seen.add(key)
-        jsonl.append(self.path, record)
+        self.journals.append(self.path, record)
         return True
 
 

@@ -144,11 +144,18 @@ class Instruction:
     flags_defined = property(lambda self: self.flag_effects.defined)
     flags_touched = property(lambda self: self.flag_effects.touched)
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The printed instruction, printed once: the journal encoder
+        prints every slot of every program, and a chain's programs
+        share their instructions."""
         if not self.operands:
             return self.opcode.name
         ops = ", ".join(str(op) for op in self.operands)
         return f"{self.opcode.name} {ops}"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 #: Sentinel padding token for fixed-length rewrites (Section 4.3).  It is a

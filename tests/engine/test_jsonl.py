@@ -9,12 +9,26 @@ appending one record must then leave exactly the surviving records
 plus the new one, newline-terminated. The journal is rewritten only
 when its tail was actually torn.
 
+The group-committed :class:`~repro.jsonl.Writer` is checked here too:
+an append is readable before any commit, a heal under an open handle
+loses no later append, and a sweep fsyncs per commit, not per append.
+
 Set ``REPRO_FAULT_RUNS`` to keep the damaged journals on disk.
 """
+
+import os
 
 import pytest
 
 from repro import jsonl
+from repro.engine.campaign import Campaign, EngineOptions
+from repro.engine.checkpoint import CheckpointStore
+from repro.engine.events import (CAMPAIGN_STARTED, ProgressEvent,
+                                 event_to_json, follow_events)
+from repro.engine.sweep import run_campaigns
+from repro.search.config import SearchConfig
+from repro.suite.registry import benchmark
+from repro.verifier.validator import Validator
 from test_truncation import _boundaries, _work_dir
 
 RECORDS = [{"job_id": "opt-c000-s000", "cost": 3},
@@ -68,3 +82,98 @@ def test_a_refused_journal_is_left_as_it_was(tmp_path):
     records.close()
     assert path.read_text() == damaged
 
+
+
+def test_an_append_is_readable_before_any_commit(tmp_path, monkeypatch):
+    """A writer's append is one unbuffered write: readers and a live
+    follower see the record before any commit fsyncs it."""
+    fsyncs = []
+    monkeypatch.setattr(os, "fsync", fsyncs.append)
+    journal, stream = tmp_path / "j.jsonl", tmp_path / "events.jsonl"
+    event = event_to_json(ProgressEvent(CAMPAIGN_STARTED, "p01", 0))
+    writer = jsonl.Writer()
+    try:
+        writer.append(journal, RECORDS[0])
+        writer.append(stream, event)
+        assert list(jsonl.iter_jsonl(journal, "journal")) == RECORDS[:1]
+        followed = follow_events(stream, poll=lambda: False, interval=0)
+        assert [event_to_json(seen) for seen in followed] == [event]
+        assert fsyncs == []
+        writer.commit()
+        assert len(fsyncs) == 2
+        writer.append(journal, NEW)
+    finally:
+        writer.close()
+    assert len(fsyncs) == 3
+    assert list(jsonl.iter_jsonl(journal, "journal")) == RECORDS[:1] + [NEW]
+
+
+def test_a_heal_under_an_open_writer_loses_no_append(tmp_path):
+    """Healing a journal the writer holds open swaps its inode; the
+    writer must append to the healed file, not the replaced one."""
+    path = tmp_path / "j.jsonl"
+    store = CheckpointStore(tmp_path)
+    writer = store.journals
+    try:
+        writer.append(path, RECORDS[0])
+        with open(path, "ab") as crashed:     # another writer's torn tail
+            crashed.write(b'{"job_id": "opt-')
+        inode = path.stat().st_ino
+        assert list(writer.resume(path, "journal")) == RECORDS[:1]
+        assert path.stat().st_ino != inode
+        writer.append(path, NEW)
+        # the same through an owner: the store's jobs journal
+        store.record(RECORDS[1])
+        with open(store.journal_path, "ab") as crashed:
+            crashed.write(b'{"job_id"')
+        assert list(store.completed()) == [RECORDS[1]["job_id"]]
+        store.record(NEW)
+    finally:
+        writer.close()
+    assert list(jsonl.iter_jsonl(path, "journal")) == [RECORDS[0], NEW]
+    assert list(store.completed()) == [RECORDS[1]["job_id"],
+                                       NEW["job_id"]]
+
+
+def test_a_fixed_budget_sweep_fsyncs_once_per_journal_per_commit(
+        tmp_path, monkeypatch):
+    """Group commit: an interleaved p01+p03 sweep under a fixed budget
+    fsyncs each journal at most once per commit point (two admitted
+    waves, the finish and the exit per kernel), far fewer times than
+    it appends, besides ``start_fresh``'s atomic replacements."""
+    counts = {"fsync": 0, "commit": 0, "append": 0, "replace": 0}
+    fsync, commit = os.fsync, jsonl.Writer.commit
+    append, replace = jsonl.Writer.append, jsonl.replace_atomically
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(os, "fsync", counted("fsync", fsync))
+    monkeypatch.setattr(jsonl.Writer, "commit", counted("commit", commit))
+    monkeypatch.setattr(jsonl.Writer, "append", counted("append", append))
+    monkeypatch.setattr(jsonl, "replace_atomically",
+                        counted("replace", replace))
+    kernels = ("p01", "p03")
+    campaigns = []
+    for index, name in enumerate(kernels):
+        bench = benchmark(name)
+        config = SearchConfig(ell=12, beta=1.0, seed=5 + index,
+                              synthesis_proposals=60,
+                              optimization_proposals=120,
+                              optimization_restarts=2,
+                              synthesis_chains=2, optimization_chains=2,
+                              testcase_count=4)
+        campaigns.append(Campaign(
+            bench.o0, bench.spec, bench.annotations, config=config,
+            validator=Validator(), name=name,
+            options=EngineOptions(run_dir=tmp_path / name,
+                                  interleave=True)))
+    run_campaigns(campaigns)
+    journals = len(("jobs", "grants", "recovery", "events", "metrics"))
+    assert counts["commit"] <= 4 * len(kernels)
+    assert counts["fsync"] <= (counts["commit"] * journals
+                               + counts["replace"])
+    assert counts["fsync"] - counts["replace"] < counts["append"] / 2

@@ -1,8 +1,10 @@
 """Journal truncation fuzz: resume heals a torn tail, bit-identically.
 
 Every journal in a run directory (jobs, grants, events, metrics,
-recovery) is append-only and fsynced per record, so the only damage an
-interrupt can inflict is a torn *final* record. This file proves the
+recovery) is append-only and written one record per write, committed
+at the sweep's commit points, so the only damage a kill or a power loss
+can inflict on a journal is a lost suffix ending in a torn *final*
+record (``test_crash.py`` cuts whole suffixes). This file proves the
 claim exhaustively: the final record of each journal is cut at every
 byte boundary (sampled when the record is long), and a resume from the
 damaged directory must reproduce the pristine run's rankings exactly —
