@@ -57,6 +57,7 @@ from repro.verifier.validator import LiveSpec, Validator
 from repro.x86.program import Program
 
 if TYPE_CHECKING:                               # pragma: no cover
+    from repro.minimize import cegis
     from repro.minimize.driver import MinimizeResult
 
 INTERLEAVE_NONE = "none"
@@ -363,8 +364,10 @@ class Campaign:
         }
 
     def _initial_state(self, store: CheckpointStore | None) \
-            -> tuple[list[Testcase], dict[str, Json]]:
-        """Base testcases and already-completed job payloads.
+            -> tuple[list[Testcase], dict[str, Json],
+                     cegis.CounterexampleSuite | None]:
+        """Base testcases, already-completed job payloads, and the
+        counterexample suite when this start opened one.
 
         A resumed campaign takes its testcases from the manifest (they
         were random-generated; regeneration is deterministic, but the
@@ -373,7 +376,9 @@ class Campaign:
         counterexample suite into the generated base before the
         manifest freezes them — ``start_fresh`` truncates the journals
         but never ``cex_suite.jsonl``, which is what makes the suite a
-        cross-run flywheel rather than per-run state.
+        cross-run flywheel rather than per-run state. That suite is
+        handed on, so the schedule appends to it without decoding the
+        file again; a resume opens none here.
         """
         if self.options.resume:
             assert store is not None
@@ -388,11 +393,12 @@ class Campaign:
             completed = {job_id: payload for job_id, payload
                          in store.completed().items()
                          if payload_problem(payload) is None}
-            return testcases, completed
+            return testcases, completed, None
         generator = TestcaseGenerator(self.target, self.spec,
                                       self.annotations,
                                       seed=self.config.seed)
         testcases = generator.generate(self.config.testcase_count)
+        suite = None
         if self.options.harden:
             assert store is not None     # enforced by EngineOptions
             from repro.minimize.cegis import CounterexampleSuite
@@ -405,4 +411,4 @@ class Campaign:
             manifest["testcases"] = [serialize.testcase_to_json(tc)
                                      for tc in testcases]
             store.start_fresh(manifest)
-        return testcases, {}
+        return testcases, {}, suite

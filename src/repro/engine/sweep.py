@@ -61,6 +61,7 @@ from repro.errors import (CorruptPayloadError, EngineError,
                           WorkerCrashError)
 from repro.minimize.driver import Minimizer, MinimizeResult
 from repro.perfsim.model import actual_runtime
+from repro.search.ranker import RankedRewrite
 from repro.telemetry import ChainTelemetry, MetricsLog
 from repro.telemetry.metrics import Series
 from repro.testgen.testcase import Testcase
@@ -103,7 +104,7 @@ class KernelSchedule:
         config = campaign.config
         self.store = (CheckpointStore(options.run_dir)
                       if options.run_dir is not None else None)
-        self.testcases, self.completed = campaign._initial_state(
+        self.testcases, self.completed, suite = campaign._initial_state(
             self.store)
         # on a fresh run start_fresh (in _initial_state) has already
         # emptied both journals; the logs only ever append, through
@@ -118,14 +119,16 @@ class KernelSchedule:
                                    journals=self.journals)
                         if self.store is not None else None)
         self.rule = campaign.budget.rule()
-        # the persistent CEGIS suite (harden): the fresh-start merge
-        # already happened in _initial_state; noting the frozen base
-        # keeps appends down to genuinely novel counterexamples
-        self.cex_suite = None
+        # the persistent CEGIS suite (harden): a fresh start already
+        # opened it and merged it into the base (_initial_state), a
+        # resume opens it here; noting the frozen base keeps appends
+        # down to genuinely novel counterexamples
+        self.cex_suite = suite
         if options.harden and self.store is not None:
-            from repro.minimize.cegis import CounterexampleSuite
-            self.cex_suite = CounterexampleSuite.for_run_dir(
-                self.store.run_dir, journals=self.journals)
+            if self.cex_suite is None:
+                from repro.minimize.cegis import CounterexampleSuite
+                self.cex_suite = CounterexampleSuite.for_run_dir(
+                    self.store.run_dir, journals=self.journals)
             self.cex_suite.note(self.testcases)
         self.context = CampaignContext(
             target=campaign.target, spec=campaign.spec,
@@ -531,10 +534,7 @@ class KernelSchedule:
                     self.cex_suite.append(result.new_testcases)
         merged = aggregator.merge_testcases(
             self.testcases, self._synth_results + opt_results)
-        ranked = aggregator.final_ranking(campaign.target, config,
-                                          merged, opt_results,
-                                          cost=campaign.cost)
-        target_cycles = actual_runtime(campaign.target.compact())
+        ranked, target_cycles, ranking = self._rank(merged, opt_results)
         rewrite: Program | None = None
         rewrite_cycles = target_cycles
         if ranked:
@@ -579,9 +579,34 @@ class KernelSchedule:
             finished["chains_quarantined"] = len(self._quarantined)
         self.events.emit(CAMPAIGN_FINISHED, self.name, **finished)
         if self.metrics is not None:
-            self._journal_campaign_metrics(result.seconds)
+            self._journal_campaign_metrics(result.seconds, ranking)
         self.journals.commit()          # the kernel's finish is durable
         self._result = result
+
+    def _rank(self, merged: list[Testcase], opt_results: list[JobResult]) \
+            -> tuple[list[RankedRewrite], int, Json]:
+        """The final ranking, the target's cycles, and their record.
+
+        A finished kernel's ``campaign`` record holds both, so a resume
+        resolves the recorded rows against the decoded pool and scores,
+        lowers and simulates nothing. Without a usable record (none
+        yet, one written before rankings were journaled, or one that
+        no longer matches the pool) the ranking is computed.
+        """
+        target = self.campaign.target
+        pool = aggregator.verified_pool(opt_results)
+        record = self.metrics.campaign if self.metrics is not None else None
+        if record is not None and "ranking" in record:
+            resolved = aggregator.ranking_from_json(
+                record["ranking"], pool, target, len(merged))
+            if resolved is not None:
+                return resolved[0], resolved[1], record["ranking"]
+        ranked = aggregator.final_ranking(target, self.campaign.config,
+                                          merged, opt_results,
+                                          cost=self.campaign.cost)
+        target_cycles = actual_runtime(target.compact())
+        return ranked, target_cycles, aggregator.ranking_to_json(
+            ranked, target, target_cycles, len(pool), len(merged))
 
     def _minimize(self, rewrite: Program,
                   testcases: list[Testcase]) -> MinimizeResult:
@@ -621,16 +646,21 @@ class KernelSchedule:
                                     in minimized.cegis_testcases]})
         return minimized
 
-    def _journal_campaign_metrics(self, seconds: float) -> None:
+    def _journal_campaign_metrics(self, seconds: float,
+                                  ranking: Json) -> None:
         """Seal the metrics journal: backfill + the campaign record.
 
         Chains satisfied from the resume journal never passed through
         :meth:`complete`, so their telemetry is backfilled here in plan
         order (dedup makes live-recorded chains no-ops). The campaign
-        record carries the plan-order merge — bit-identical at any
-        worker count — plus this run's scheduler runtime.
+        record carries the plan-order merge and the final ranking —
+        both bit-identical at any worker count — plus this run's
+        scheduler runtime. A journaled campaign record follows every
+        chain record, so a resume that finds one has nothing to add.
         """
         assert self.metrics is not None
+        if self.metrics.campaign is not None:
+            return
         merged = ChainTelemetry()
         for job in list(self._synth_plan) + list(self._opt_plan):
             payload = self.completed.get(job.job_id)
@@ -660,7 +690,7 @@ class KernelSchedule:
             # break worker-count invisibility of the deterministic doc
             runtime["workers"] = dict(self._worker_counts)
         self.metrics.record_campaign(
-            self.name, merged.deterministic_json(), runtime)
+            self.name, merged.deterministic_json(), runtime, ranking)
 
 
 class _InFlight:

@@ -13,7 +13,10 @@ call returns. Durability against power loss comes at commit points:
   last commit, and their jobs re-run to the same payload;
 * a decision (a grant or a recovery record) is committed before any
   result it admits exists, so no surviving result outlives its
-  decision.
+  decision;
+* a file replaced whole (a manifest, an emptied or healed journal) is
+  renamed into place and its directory fsynced before the call
+  returns, so the replacement, not the old file, survives.
 
 A campaign sweep's writer (one per run directory) commits when a wave
 is admitted, when a kernel finalizes and when the sweep ends; a writer
@@ -127,7 +130,9 @@ def replace_atomically(path: Path, lines: Iterable[str]) -> None:
 
     The lines are streamed and fsynced into a sibling ``.tmp`` file
     that is then renamed over ``path``, so a crash leaves either the
-    old file or the new one, never a half-written one.
+    old file or the new one, never a half-written one. The directory
+    is fsynced after the rename, so the new file, not the old one, is
+    what survives a power loss.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -136,6 +141,11 @@ def replace_atomically(path: Path, lines: Iterable[str]) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def resume(path: Path, what: str) -> Iterator[Json]:

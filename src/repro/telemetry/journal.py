@@ -12,12 +12,16 @@ versioned (``"v"``). Three record shapes share the file::
      "telemetry": {<ChainTelemetry wire form>}}
     {"v": 1, "record": "campaign", "kernel": ...,
      "telemetry": {<merged deterministic wire form>},
+     "ranking": {"target_cycles": ..., "candidates": ...,
+                 "testcases": ..., "rows": [{"program_key": ...,
+                                             "cost": ..., "cycles": ...}]},
      "runtime": {seconds, grant latencies, occupancy timeline}}
     {"v": 1, "record": "minimize", "kernel": ...,
      "telemetry": {<MinimizeResult.to_json() wire form>},
      "shrunk": {"program": ..., "cegis_testcases": [...]}}
 
-(``shrunk`` is written by the engine, whose resume reuses it.)
+(``shrunk`` and ``ranking`` are written by the engine, whose resume
+reuses them; ``ranking`` is deterministic, like ``telemetry``.)
 
 One ``chain`` record lands the moment a chain job completes (so an
 in-progress run is reportable live); the single ``campaign`` record
@@ -109,13 +113,16 @@ class MetricsLog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.journals = journals or jsonl.Writer(commit_each=True)
-        #: the journaled ``minimize`` record, if there is one
+        #: the journaled ``minimize`` and ``campaign`` records, if any
         self.minimized: Json | None = None
+        self.campaign: Json | None = None
         self._seen = set()
         for record in self.journals.resume(self.path, "metrics journal"):
             self._seen.add(self._key(_validate(record)))
             if record["record"] == RECORD_MINIMIZE:
                 self.minimized = record
+            elif record["record"] == RECORD_CAMPAIGN:
+                self.campaign = record
 
     @staticmethod
     def _key(record: Json) -> tuple[str, str]:
@@ -133,12 +140,19 @@ class MetricsLog:
                              "telemetry": telemetry})
 
     def record_campaign(self, kernel: str, telemetry: Json,
-                        runtime: Json) -> bool:
-        """Journal the campaign-level merge; False if already there."""
-        return self._append({"v": METRICS_VERSION,
-                             "record": RECORD_CAMPAIGN,
-                             "kernel": kernel, "telemetry": telemetry,
-                             "runtime": runtime})
+                        runtime: Json, ranking: Json | None = None) -> bool:
+        """Journal the campaign-level merge; False if already there.
+
+        ``ranking`` carries what a resume needs to skip the final
+        re-ranking: the ranked rows, by program key, and the target's
+        cycles.
+        """
+        record = {"v": METRICS_VERSION, "record": RECORD_CAMPAIGN,
+                  "kernel": kernel, "telemetry": telemetry,
+                  "runtime": runtime}
+        if ranking is not None:
+            record["ranking"] = ranking
+        return self._append(record)
 
     def record_minimize(self, kernel: str, telemetry: Json,
                         shrunk: Json | None = None) -> bool:

@@ -36,6 +36,8 @@ implicit live input unless the annotations say otherwise."""
 class TestcaseGenerator:
     """Generates testcases for a target program."""
 
+    __test__ = False        # not a pytest test class, despite its name
+
     def __init__(self, target: Program, spec: LiveSpec,
                  annotations: Annotations, *,
                  seed: int = 0) -> None:

@@ -34,6 +34,8 @@ class Testcase:
     expected_memory: tuple[tuple[int, int], ...]
     valid_addresses: frozenset[int]
 
+    __test__ = False        # not a pytest test class, despite its name
+
     def initial_state(self) -> MachineState:
         """A fresh machine state holding this testcase's inputs.
 

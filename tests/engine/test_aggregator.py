@@ -54,3 +54,32 @@ def test_final_ranking_admits_the_target():
                                       [_result("opt-a")])
     assert len(ranked) == 1
     assert ranked[0].program == bench.o0
+
+
+def test_a_journaled_ranking_resolves_to_the_same_rewrites():
+    """The journal form round-trips through the pool it was ranked
+    on, a verified twin of the target included (the two share a key,
+    so the target's row is marked), and is refused for another pool."""
+    bench = benchmark("p01")
+    generator = TestcaseGenerator(bench.o0, bench.spec,
+                                  bench.annotations, seed=0)
+    base = generator.generate(4)
+    twin = bench.o0.padded(len(bench.o0.code) + 2)
+    results = [_result("opt-a", verified=[twin])]
+    ranked = aggregator.final_ranking(bench.o0, SearchConfig(ell=12),
+                                      base, results)
+    assert [r.program for r in ranked] == [twin, bench.o0]
+    pool = aggregator.verified_pool(results)
+    record = aggregator.ranking_to_json(ranked, bench.o0, 24, len(pool),
+                                        len(base))
+    resolved, target_cycles = aggregator.ranking_from_json(
+        record, pool, bench.o0, len(base))
+    assert target_cycles == 24
+    assert [(r.program, r.cost, r.cycles) for r in resolved] \
+        == [(r.program, r.cost, r.cycles) for r in ranked]
+    assert all(a.program is b.program for a, b in zip(resolved, ranked))
+    assert aggregator.ranking_from_json(record, pool, bench.o0,
+                                        len(base) + 1) is None
+    assert aggregator.ranking_from_json(
+        record, aggregator.verified_pool(results[:0]), bench.o0,
+        len(base)) is None

@@ -7,7 +7,7 @@ final record is cut at every sampled byte boundary, with and without a
 newline after the fragment; opening the journal for append and
 appending one record must then leave exactly the surviving records
 plus the new one, newline-terminated. The journal is rewritten only
-when its tail was actually torn.
+when its tail was actually torn, and a rewrite fsyncs its directory.
 
 The group-committed :class:`~repro.jsonl.Writer` is checked here too:
 an append is readable before any commit, a heal under an open handle
@@ -17,6 +17,7 @@ Set ``REPRO_FAULT_RUNS`` to keep the damaged journals on disk.
 """
 
 import os
+import stat
 
 import pytest
 
@@ -82,6 +83,27 @@ def test_a_refused_journal_is_left_as_it_was(tmp_path):
     records.close()
     assert path.read_text() == damaged
 
+
+def test_a_replacement_fsyncs_its_directory_after_the_rename(
+        tmp_path, monkeypatch):
+    """The rename itself is made durable: the directory holding the
+    replaced file is fsynced once the new file is in place."""
+    path = tmp_path / "j.jsonl"
+    path.write_text(jsonl.encode(RECORDS[0]))
+    fsync = os.fsync
+    synced = []
+
+    def spy(fd):
+        fsync(fd)
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            synced.append((os.fstat(fd).st_ino, path.read_text()))
+        else:
+            synced.append(None)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    jsonl.replace_atomically(path, [jsonl.encode(NEW)])
+    assert synced == [None, (tmp_path.stat().st_ino, jsonl.encode(NEW))]
+    assert not path.with_name(path.name + ".tmp").exists()
 
 
 def test_an_append_is_readable_before_any_commit(tmp_path, monkeypatch):

@@ -14,7 +14,9 @@ import pytest
 from repro.engine.campaign import Campaign, EngineOptions
 from repro.engine.checkpoint import MANIFEST_VERSION
 from repro.engine.serialize import testcase_to_json as _testcase_json
+from repro.engine.sweep import KernelSchedule
 from repro.errors import EngineError
+from repro.minimize import cegis
 from repro.minimize.cegis import CounterexampleSuite, suite_path
 from repro.search.config import SearchConfig
 from repro.suite.registry import benchmark
@@ -162,3 +164,30 @@ def test_hardened_resume_replays_the_manifest_suite(tmp_path):
                                       resume=True, harden=True)).run()
     assert [(str(r.program), r.cycles) for r in resumed.ranked] \
         == [(str(r.program), r.cycles) for r in full.ranked]
+
+
+def test_a_fresh_hardened_campaign_decodes_the_suite_once(tmp_path,
+                                                          monkeypatch):
+    """The fresh start hands the suite it opened to the schedule, so
+    each persisted record is decoded once; a resume opens the suite
+    itself and still sees every record."""
+    run_dir = tmp_path / "p01"
+    seeded = _testcases(3, seed=99)
+    CounterexampleSuite.for_run_dir(run_dir).append(seeded)
+    decoded, decode = [], cegis.testcase_from_json
+
+    def counted(data):
+        decoded.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(cegis, "testcase_from_json", counted)
+    _campaign(EngineOptions(run_dir=run_dir, harden=True)).run()
+    assert len(decoded) == len(seeded)
+    records = sum(1 for _ in suite_path(run_dir).open())
+    schedule = KernelSchedule(_campaign(EngineOptions(
+        run_dir=run_dir, resume=True, harden=True)))
+    try:
+        assert len(decoded) == len(seeded) + records
+        assert schedule.cex_suite.testcases()[:len(seeded)] == seeded
+    finally:
+        schedule.journals.close()

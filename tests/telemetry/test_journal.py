@@ -90,6 +90,22 @@ def test_document_synthesizes_campaign_until_complete(tmp_path):
         deterministic_document(partial)["campaign"]
 
 
+def test_reopening_keeps_the_campaign_record_and_its_ranking(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    log = _log_two_chains(path)
+    assert log.campaign is None
+    ranking = {"target_cycles": 24, "candidates": 2, "testcases": 4,
+               "rows": [{"program_key": "k", "cost": 1, "cycles": 9}]}
+    assert log.record_campaign("p01", {}, {"seconds": 1.0}, ranking)
+    assert log.campaign is None          # kept from the journal only
+    reopened = MetricsLog(path)
+    assert reopened.campaign["ranking"] == ranking
+    assert not reopened.record_campaign("p01", {}, {"seconds": 2.0})
+    # the ranking is not a telemetry section: the document is unchanged
+    document = metrics_document(read_metrics(path))
+    assert document["campaign"] == {} and "ranking" not in document
+
+
 def test_document_is_none_for_an_empty_journal(tmp_path):
     path = tmp_path / "metrics.jsonl"
     MetricsLog(path)
